@@ -81,15 +81,12 @@ let mops_of ?batch ~mkdriver ~conv ~space ~mix ~nthreads scale =
 let all_mixes = [ W.Insert_only; W.Read_only; W.Read_update; W.Scan_insert ]
 let int_spaces = [ W.Mono_int; W.Rand_int ]
 
-(* run one (space, mix) cell for an int- or email-keyed driver factory *)
-let cell ~int_driver ~str_driver ~space ~mix ~nthreads scale =
-  match space with
-  | W.Email ->
-      mops_of ~mkdriver:str_driver ~conv:W.email_key_of ~space ~mix ~nthreads
-        scale
-  | _ ->
-      mops_of ~mkdriver:int_driver ~conv:(W.int_key_of space) ~space ~mix
-        ~nthreads scale
+(* run one (space, mix) cell for a Bw-Tree of [config] over [space]'s keys *)
+let cell ~config ~space ~mix ~nthreads scale =
+  let (Drivers.Key (module D)) = Drivers.of_space space in
+  mops_of
+    ~mkdriver:(fun () -> D.bwtree ~config ())
+    ~conv:(D.K.of_workload space) ~space ~mix ~nthreads scale
 
 (* ------------------------------------------------------------------ *)
 (* §5.2 Figure 8: delta-record pre-allocation (single-threaded)        *)
@@ -108,10 +105,7 @@ let fig8 scale =
       List.iter
         (fun mix ->
           let run config =
-            cell
-              ~int_driver:(fun () -> Drivers.bwtree_driver_int ~config ())
-              ~str_driver:(fun () -> Drivers.bwtree_driver_str ~config ())
-              ~space ~mix ~nthreads:1 scale
+            cell ~config ~space ~mix ~nthreads:1 scale
           in
           let a = run base and b = run opt in
           print_row
@@ -139,10 +133,7 @@ let fig9 scale =
       List.iter
         (fun mix ->
           let run config =
-            cell
-              ~int_driver:(fun () -> Drivers.bwtree_driver_int ~config ())
-              ~str_driver:(fun () -> Drivers.bwtree_driver_str ~config ())
-              ~space ~mix ~nthreads:1 scale
+            cell ~config ~space ~mix ~nthreads:1 scale
           in
           let a = run base and b = run opt in
           print_row
@@ -202,10 +193,7 @@ let fig10 scale =
       List.iter
         (fun nthreads ->
           let run config =
-            cell
-              ~int_driver:(fun () -> Drivers.bwtree_driver_int ~config ())
-              ~str_driver:(fun () -> Drivers.bwtree_driver_str ~config ())
-              ~space ~mix:W.Read_update ~nthreads scale
+            cell ~config ~space ~mix:W.Read_update ~nthreads scale
           in
           let c = run centralized and d = run decentralized in
           print_row
@@ -240,7 +228,7 @@ let fig11 scale =
                 in
                 let v =
                   mops_of
-                    ~mkdriver:(fun () -> Drivers.bwtree_driver_int ~config ())
+                    ~mkdriver:(fun () -> Drivers.Int.bwtree ~config ())
                     ~conv:(W.int_key_of W.Mono_int) ~space:W.Mono_int ~mix
                     ~nthreads:scale.threads scale
                 in
@@ -281,7 +269,7 @@ let fig12 scale =
           (fun (label, config) ->
             ( label,
               mops_of
-                ~mkdriver:(fun () -> Drivers.bwtree_driver_int ~config ())
+                ~mkdriver:(fun () -> Drivers.Int.bwtree ~config ())
                 ~conv:(W.int_key_of W.Rand_int) ~space:W.Rand_int
                 ~mix:W.Read_update ~nthreads scale ))
           steps
@@ -293,7 +281,7 @@ let fig12 scale =
     (fun mix ->
       let run config =
         mops_of
-          ~mkdriver:(fun () -> Drivers.bwtree_driver_int ~config ())
+          ~mkdriver:(fun () -> Drivers.Int.bwtree ~config ())
           ~conv:(W.int_key_of W.Mono_int) ~space:W.Mono_int ~mix
           ~nthreads:scale.threads scale
       in
@@ -333,8 +321,8 @@ let hc_insert_run (d : int Runner.driver) ~nthreads ~ops =
 let tab2 scale =
   print_header "Table 2: OpenBw-Tree statistics (Insert-only, multi-threaded)";
   let run_one space =
-    let tree, mkdriver = Drivers.bwtree_instance_int () in
-    let driver = mkdriver "OpenBw-Tree" in
+    let tree = Drivers.Int.Bw.create () in
+    let driver = Drivers.Int.driver_of_tree tree in
     (match space with
     | W.Mono_hc ->
         ignore (hc_insert_run driver ~nthreads:scale.threads ~ops:scale.keys)
@@ -343,8 +331,8 @@ let tab2 scale =
         let trace = W.load_trace cfg space (W.int_key_of space) in
         ignore (Runner.load driver ~nthreads:scale.threads trace);
         driver.stop_aux ());
-    let ss = Drivers.Bw_int.structure_stats tree in
-    let os = Drivers.Bw_int.op_stats tree in
+    let ss = Drivers.Int.Bw.structure_stats tree in
+    let os = Drivers.Int.Bw.op_stats tree in
     let abort_rate =
       if os.inserts = 0 then 0.0
       else 100.0 *. float_of_int os.restarts /. float_of_int os.inserts
@@ -372,22 +360,14 @@ let index_comparison scale ~nthreads title =
         (Format.asprintf "%a" W.pp_key_space space);
       List.iter
         (fun mix ->
+          let (Drivers.Key (module D)) = Drivers.of_space space in
           let cells =
-            match space with
-            | W.Email ->
-                List.map
-                  (fun (name, mk) ->
-                    ( name,
-                      mops_of ~mkdriver:mk ~conv:W.email_key_of ~space ~mix
-                        ~nthreads scale ))
-                  (Drivers.str_lineup ())
-            | _ ->
-                List.map
-                  (fun (name, mk) ->
-                    ( name,
-                      mops_of ~mkdriver:mk ~conv:(W.int_key_of space) ~space
-                        ~mix ~nthreads scale ))
-                  (Drivers.int_lineup ())
+            List.map
+              (fun (name, mk) ->
+                ( name,
+                  mops_of ~mkdriver:mk ~conv:(D.K.of_workload space) ~space
+                    ~mix ~nthreads scale ))
+              (D.lineup ())
           in
           print_row (Format.asprintf "%a" W.pp_mix mix) cells)
         all_mixes)
@@ -415,28 +395,17 @@ let fig15 scale =
       Printf.printf "-- %d thread(s) --\n%!" nthreads;
       List.iter
         (fun space ->
+          let (Drivers.Key (module D)) = Drivers.of_space space in
           let cells =
-            match space with
-            | W.Email ->
-                List.map
-                  (fun (name, mk) ->
-                    let d = mk () in
-                    let _ =
-                      run_workload d ~conv:W.email_key_of ~space
-                        ~mix:W.Read_update ~nthreads scale
-                    in
-                    (name, mb (d.memory_words ())))
-                  (Drivers.str_lineup ())
-            | _ ->
-                List.map
-                  (fun (name, mk) ->
-                    let d = mk () in
-                    let _ =
-                      run_workload d ~conv:(W.int_key_of space) ~space
-                        ~mix:W.Read_update ~nthreads scale
-                    in
-                    (name, mb (d.memory_words ())))
-                  (Drivers.int_lineup ())
+            List.map
+              (fun (name, mk) ->
+                let d = mk () in
+                let _ =
+                  run_workload d ~conv:(D.K.of_workload space) ~space
+                    ~mix:W.Read_update ~nthreads scale
+                in
+                (name, mb (d.memory_words ())))
+              (D.lineup ())
           in
           print_row ~unit_:"MB"
             (Format.asprintf "%a" W.pp_key_space space)
@@ -472,7 +441,7 @@ let tab3 scale =
         (per Counters.Key_compare)
         (per Counters.Allocation) (per Counters.Cas_attempt)
         (per Counters.Cas_failure) (per Counters.Restart))
-    (Drivers.int_lineup ())
+    (Drivers.Int.lineup ())
 
 (* ------------------------------------------------------------------ *)
 (* §6.2 Figures 16/17: high contention                                 *)
@@ -504,7 +473,7 @@ let fig16 scale =
             name res.mops
             (rate Counters.Pointer_deref)
             (rate Counters.Cas_failure))
-        (Drivers.int_lineup ()))
+        (Drivers.Int.lineup ()))
     thread_configs
 
 let fig17 scale =
@@ -530,7 +499,7 @@ let fig17 scale =
           ("high-contention", hc);
           ("degradation x", normal /. hc);
         ])
-    (Drivers.int_lineup ())
+    (Drivers.Int.lineup ())
 
 (* ------------------------------------------------------------------ *)
 (* §6.3 Figure 18: performance decomposition                           *)
@@ -549,12 +518,12 @@ let fig18 scale =
   in
   let insert_mops config =
     mops_of
-      ~mkdriver:(fun () -> Drivers.bwtree_driver_int ~config ())
+      ~mkdriver:(fun () -> Drivers.Int.bwtree ~config ())
       ~conv ~space:W.Rand_int ~mix:W.Insert_only ~nthreads:1 scale
   in
   let read_mops config ~prep =
-    let tree, mk = Drivers.bwtree_instance_int ~config () in
-    let d = mk "bw" in
+    let tree = Drivers.Int.Bw.create ~config () in
+    let d = Drivers.Int.driver_of_tree ~name:"bw" tree in
     let trace = W.load_trace cfg W.Rand_int conv in
     ignore (Runner.load d ~nthreads:1 trace);
     d.stop_aux ();
@@ -570,7 +539,7 @@ let fig18 scale =
       ("insert", insert_mops base); ("read", read_mops base ~prep:(fun _ -> ()));
     ];
   print_row "-DC (no delta chains)"
-    [ ("read", read_mops base ~prep:Drivers.Bw_int.consolidate_all) ];
+    [ ("read", read_mops base ~prep:Drivers.Int.Bw.consolidate_all) ];
   let nocas = { base with use_atomic_cas = false } in
   print_row "-CAS (plain compare+store)"
     [
@@ -579,18 +548,18 @@ let fig18 scale =
     ];
   (* -MT: frozen direct-pointer tree (no mapping table, no chains) *)
   let mt_read =
-    let tree, mk = Drivers.bwtree_instance_int () in
-    let d = mk "bw" in
+    let tree = Drivers.Int.Bw.create () in
+    let d = Drivers.Int.driver_of_tree ~name:"bw" tree in
     let trace = W.load_trace cfg W.Rand_int conv in
     ignore (Runner.load d ~nthreads:1 trace);
     d.stop_aux ();
-    let frozen = Drivers.Bw_int.freeze tree in
+    let frozen = Drivers.Int.Bw.freeze tree in
     let ops = W.ops_trace cfg W.Rand_int W.Read_only ~tid:0 ~nthreads:1 conv in
     time_run
       (fun () ->
         Array.iter
           (function
-            | W.Read k -> ignore (Drivers.Bw_int.frozen_lookup frozen k)
+            | W.Read k -> ignore (Drivers.Int.Bw.frozen_lookup frozen k)
             | _ -> ())
           ops)
       (Array.length ops)
@@ -602,11 +571,11 @@ let fig18 scale =
     [
       ( "insert",
         mops_of
-          ~mkdriver:(fun () -> Drivers.btree_driver_int ())
+          ~mkdriver:(fun () -> Drivers.Int.btree ())
           ~conv ~space:W.Rand_int ~mix:W.Insert_only ~nthreads:1 scale );
       ( "read",
         mops_of
-          ~mkdriver:(fun () -> Drivers.btree_driver_int ())
+          ~mkdriver:(fun () -> Drivers.Int.btree ())
           ~conv ~space:W.Rand_int ~mix:W.Read_only ~nthreads:1 scale );
     ]
 
@@ -642,7 +611,7 @@ let bech scale =
                  ignore (d.Runner.update ~tid:0 (W.Keys.rand_int i) 42)))
         in
         [ lookup; update ])
-      (Drivers.int_lineup ())
+      (Drivers.Int.lineup ())
   in
   let grouped = Test.make_grouped ~name:"index" tests in
   let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) ~kde:None () in
@@ -671,7 +640,7 @@ let abl scale =
     (fun mix ->
       let run policy =
         mops_of
-          ~mkdriver:(fun () -> Drivers.skiplist_driver_int ~policy ())
+          ~mkdriver:(fun () -> Drivers.Int.skiplist ~policy ())
           ~conv:(W.int_key_of W.Rand_int) ~space:W.Rand_int ~mix
           ~nthreads:scale.threads scale
       in
@@ -719,7 +688,7 @@ let abl scale =
       let config = Bwtree.Config.make ~gc_threshold () in
       let v =
         mops_of
-          ~mkdriver:(fun () -> Drivers.bwtree_driver_int ~config ())
+          ~mkdriver:(fun () -> Drivers.Int.bwtree ~config ())
           ~conv:(W.int_key_of W.Rand_int) ~space:W.Rand_int
           ~mix:W.Read_update ~nthreads:scale.threads scale
       in
@@ -734,7 +703,7 @@ let abl scale =
       let run unique_keys =
         let config = Bwtree.Config.make ~unique_keys () in
         mops_of
-          ~mkdriver:(fun () -> Drivers.bwtree_driver_int ~config ())
+          ~mkdriver:(fun () -> Drivers.Int.bwtree ~config ())
           ~conv:(W.int_key_of W.Rand_int) ~space:W.Rand_int ~mix ~nthreads:1
           scale
       in
@@ -748,16 +717,16 @@ let abl scale =
 (* Page-store substrate: checkpoint / recovery / compaction rates      *)
 (* ------------------------------------------------------------------ *)
 
-module Cp = Pagestore.Checkpoint.Make (Pagestore.Codec.Int) (Drivers.Bw_int)
+module Cp = Pagestore.Checkpoint.Make (Pagestore.Codec.Int) (Drivers.Int.Bw)
 
 let store scale =
   print_header
     "Page store: checkpoint, recovery and segment-GC rates (LLAMA-style \
      substrate, DESIGN.md)";
-  let t = Drivers.Bw_int.create () in
+  let t = Drivers.Int.Bw.create () in
   let n = scale.keys in
   for i = 0 to n - 1 do
-    ignore (Drivers.Bw_int.insert t (W.Keys.rand_int i) i)
+    ignore (Drivers.Int.Bw.insert t (W.Keys.rand_int i) i)
   done;
   let log = Pagestore.Log.create () in
   let time f =
@@ -779,7 +748,7 @@ let store scale =
     (Bw_util.Stats.throughput_mops ~ops:n ~seconds:save2_s);
   Printf.printf "recovery   : %7.3f M items/s (%d keys rebuilt)\n"
     (Bw_util.Stats.throughput_mops ~ops:n ~seconds:load_s)
-    (Drivers.Bw_int.cardinal tree');
+    (Drivers.Int.Bw.cardinal tree');
   Printf.printf
     "segment GC : %7.2f MB reclaimed in %.3fs (%.1f MB/s); log now %.2f MB \
      in %d segments\n"
@@ -810,8 +779,8 @@ let shards_bench scale =
         List.map
           (fun n ->
             let mk () =
-              if n = 1 then Drivers.bwtree_driver_int ()
-              else Drivers.bwtree_forest_int ~lo:0 ~shards:n ()
+              if n = 1 then Drivers.Int.bwtree ()
+              else Drivers.Int.forest ~lo:0 ~shards:n ()
             in
             ( Printf.sprintf "%dsh" n,
               mops_of ~mkdriver:mk ~conv:(W.int_key_of W.Rand_int)
@@ -842,7 +811,7 @@ let batch_bench scale =
           (fun b ->
             ( Printf.sprintf "b=%d" b,
               mops_of ~batch:b
-                ~mkdriver:(fun () -> Drivers.bwtree_driver_int ())
+                ~mkdriver:(fun () -> Drivers.Int.bwtree ())
                 ~conv:(W.int_key_of W.Rand_int) ~space:W.Rand_int ~mix
                 ~nthreads:scale.threads scale ))
           batches
@@ -880,7 +849,7 @@ let packed_bench scale =
               (fun (name, config) ->
                 ( name,
                   mops_of ~batch:b
-                    ~mkdriver:(fun () -> Drivers.bwtree_driver_int ~config ())
+                    ~mkdriver:(fun () -> Drivers.Int.bwtree ~config ())
                     ~conv:(W.int_key_of W.Rand_int) ~space:W.Rand_int ~mix
                     ~nthreads:scale.threads scale ))
               configs
@@ -916,7 +885,7 @@ let wal_bench scale =
   let opened = ref [] in
   let durable ~fsync () =
     Pagestore.Store.rm_rf dir;
-    let dur = Drivers.durable_bwtree_int ~fsync ~dir () in
+    let dur = Drivers.Int.durable ~fsync ~dir () in
     opened := dur :: !opened;
     dur.Drivers.dur_driver
   in
@@ -933,7 +902,7 @@ let wal_bench scale =
     in
     print_row name cells
   in
-  row "in-memory" (fun () -> Drivers.bwtree_driver_int ());
+  row "in-memory" (fun () -> Drivers.Int.bwtree ());
   row "wal (no fsync)" (durable ~fsync:false);
   row "wal (fsync)" (durable ~fsync:true);
   List.iter (fun d -> d.Drivers.dur_close ()) !opened;
@@ -960,7 +929,7 @@ let leafcache_bench scale =
     let cfg = { (wl_cfg scale) with W.theta } in
     let conv = W.int_key_of W.Rand_int in
     let d =
-      Runner.instrument !obs_sink (Drivers.bwtree_driver_int ~config ())
+      Runner.instrument !obs_sink (Drivers.Int.bwtree ~config ())
     in
     ignore
       (Runner.load d ~nthreads:scale.threads (W.load_trace cfg W.Rand_int conv));

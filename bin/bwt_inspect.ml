@@ -21,17 +21,16 @@
      dune exec bin/bwt_inspect.exe -- --shards 4 --keyspace rand
      dune exec bin/bwt_inspect.exe -- --data-dir /var/tmp/bwt --shards 4 *)
 
-module Tree = Bwtree.Make (Index_iface.Int_key) (Index_iface.Int_value)
-module Tree_str = Bwtree.Make (Index_iface.String_key) (Index_iface.Int_value)
-module Store_int = Pagestore.Store.Make (Pagestore.Codec.Int) (Tree)
-module Store_str = Pagestore.Store.Make (Pagestore.Codec.String) (Tree_str)
+module Drivers = Harness.Drivers
+module Tree = Drivers.Int.Bw
 module W = Workload
 module H = Bw_util.Histogram
 
 (* --data-dir mode: read-only recovery of every shard, then a per-shard
    report. Mirrors the server's layout: one store at the root for a
    single shard, [shard-<i>] subdirectories for a forest. *)
-let inspect_durable ~dir ~shards ~key_type ~config ~dump =
+let inspect_durable (type k) ((module D) : k Drivers.t) ~dir ~shards ~config
+    ~dump =
   if not (Sys.file_exists dir) then begin
     Printf.eprintf "bwt_inspect: no such directory %s\n" dir;
     exit 1
@@ -47,56 +46,28 @@ let inspect_durable ~dir ~shards ~key_type ~config ~dump =
           Filename.concat dir (Printf.sprintf "shard-%02d" i))
   in
   let label i = if shards = 1 then "store" else Printf.sprintf "shard %d" i in
-  let shape ~i ~keys ~depth ~inner ~leaves ~ldcl ~mem_words =
-    Printf.printf
-      "%s: %8d keys | height %d | %4d inner + %6d leaf | LDCL %.2f | %7.2f \
-       MB\n"
-      (label i) keys depth inner leaves ldcl
-      (float_of_int (mem_words * 8) /. 1024. /. 1024.)
-  in
   let total_keys = ref 0 and total_mem = ref 0 and missing = ref 0 in
-  (match key_type with
-  | "int" ->
-      Array.iteri
-        (fun i sdir ->
-          match Store_int.inspect_dir ~config ~dir:sdir () with
-          | None ->
-              incr missing;
-              Printf.printf "%s: nothing loadable in %s\n" (label i) sdir
-          | Some (tree, rs) ->
-              Format.printf "%s: recovered %a@." (label i)
-                Pagestore.Store.pp_stats rs;
-              let ss = Tree.structure_stats tree in
-              shape ~i ~keys:(Tree.cardinal tree) ~depth:ss.depth
-                ~inner:ss.inner_nodes ~leaves:ss.leaf_nodes
-                ~ldcl:ss.avg_leaf_chain ~mem_words:(Tree.memory_words tree);
-              total_keys := !total_keys + Tree.cardinal tree;
-              total_mem := !total_mem + Tree.memory_words tree;
-              if dump then Tree.dump tree Format.std_formatter)
-        sdirs
-  | "str" ->
-      Array.iteri
-        (fun i sdir ->
-          match Store_str.inspect_dir ~config ~dir:sdir () with
-          | None ->
-              incr missing;
-              Printf.printf "%s: nothing loadable in %s\n" (label i) sdir
-          | Some (tree, rs) ->
-              Format.printf "%s: recovered %a@." (label i)
-                Pagestore.Store.pp_stats rs;
-              let ss = Tree_str.structure_stats tree in
-              shape ~i
-                ~keys:(Tree_str.cardinal tree)
-                ~depth:ss.depth ~inner:ss.inner_nodes ~leaves:ss.leaf_nodes
-                ~ldcl:ss.avg_leaf_chain
-                ~mem_words:(Tree_str.memory_words tree);
-              total_keys := !total_keys + Tree_str.cardinal tree;
-              total_mem := !total_mem + Tree_str.memory_words tree;
-              if dump then Tree_str.dump tree Format.std_formatter)
-        sdirs
-  | s ->
-      Printf.eprintf "bwt_inspect: unknown key type %S (try: int, str)\n" s;
-      exit 1);
+  Array.iteri
+    (fun i sdir ->
+      match D.Durable.inspect_dir ~config ~dir:sdir () with
+      | None ->
+          incr missing;
+          Printf.printf "%s: nothing loadable in %s\n" (label i) sdir
+      | Some (tree, rs) ->
+          Format.printf "%s: recovered %a@." (label i)
+            Pagestore.Store.pp_stats rs;
+          let ss = D.Bw.structure_stats tree in
+          let keys = D.Bw.cardinal tree and mem = D.Bw.memory_words tree in
+          Printf.printf
+            "%s: %8d keys | height %d | %4d inner + %6d leaf | LDCL %.2f | \
+             %7.2f MB\n"
+            (label i) keys ss.depth ss.inner_nodes ss.leaf_nodes
+            ss.avg_leaf_chain
+            (float_of_int (mem * 8) /. 1024. /. 1024.);
+          total_keys := !total_keys + keys;
+          total_mem := !total_mem + mem;
+          if dump then D.Bw.dump tree Format.std_formatter)
+    sdirs;
   if shards > 1 then
     Printf.printf "forest totals: %d keys | %.2f MB live\n" !total_keys
       (float_of_int (!total_mem * 8) /. 1024. /. 1024.);
@@ -211,7 +182,17 @@ let () =
       ("--dump", Arg.Set dump, "   print every logical node and chain");
     ]
   in
-  Arg.parse args (fun _ -> ()) "bwt_inspect [options]";
+  let usage = "bwt_inspect [options]" in
+  Arg.parse args (fun _ -> ()) usage;
+  let (Drivers.Key witness) =
+    match Drivers.of_key_type !key_type with
+    | Some k -> k
+    | None ->
+        Printf.eprintf "bwt_inspect: unknown --key-type %S (try: int, str)\n"
+          !key_type;
+        Arg.usage args usage;
+        exit 2
+  in
   if !shards < 1 then begin
     Printf.eprintf "bwt_inspect: --shards must be >= 1\n";
     exit 1
@@ -224,8 +205,7 @@ let () =
     exit 0
   end;
   if !data_dir <> "" then begin
-    inspect_durable ~dir:!data_dir ~shards:!shards ~key_type:!key_type
-      ~config ~dump:!dump;
+    inspect_durable witness ~dir:!data_dir ~shards:!shards ~config ~dump:!dump;
     exit 0
   end;
   let n_shards = !shards in

@@ -193,9 +193,8 @@ let main host port cluster clients depth batch mix keyspace keys ops theta
   end;
   (* keys travel in their binary-comparable form; the server decodes *)
   let conv : int -> string =
-    match space with
-    | W.Email -> W.email_key_of
-    | _ -> fun i -> Bw_util.Key_codec.of_int (W.int_key_of space i)
+    let (Harness.Drivers.Key (module D)) = Harness.Drivers.of_space space in
+    fun i -> D.K.Key.to_binary (D.K.of_workload space i)
   in
   let cfg = { W.default_config with num_keys = keys; num_ops = ops; theta } in
   let obs =

@@ -149,10 +149,11 @@ let () =
   drain_and_reap "primary" primary ~expect_clean:false;
 
   let sc = Bw_client.connect ~port:standby.b_port () in
-  (* still following: writes must be refused, reads served *)
+  (* still following: writes must be refused (typed READ_ONLY), reads
+     served *)
   (match Bw_client.Int_key.put sc key_base 0 with
   | _ -> die "standby accepted a write before promotion"
-  | exception Bw_client.Protocol_error _ -> ());
+  | exception Bw_client.Read_only -> ());
   let t0 = Unix.gettimeofday () in
   let replayed = Bw_client.promote ~data_dir sc in
   Printf.printf

@@ -11,12 +11,6 @@ open Cmdliner
 module Server = Bw_server.Server
 module Backend = Bw_server.Backend
 
-(* With --shards 1 this is exactly the pre-forest single-tree server: no
-   router, one registry, the plain snapshot — a strict no-op. With N > 1
-   the index is a range-partitioned forest (Bw_shard via
-   Harness.Drivers), each shard feeding its own registry; STATS and the
-   shutdown snapshot report the merged forest-wide totals plus
-   shard<i>_-prefixed per-shard series. *)
 (* Everything [main] needs from the chosen serving mode: the backend,
    the durable shutdown hook (checkpoint + WAL close), the per-shard
    replication sources (durable stores only — the WAL shipper's feed),
@@ -29,99 +23,49 @@ type built = {
     (tid:int -> Bw_server.Wire.repl_req -> Bw_server.Wire.resp) option;
 }
 
-(* --leaf-cache override; set in [main] before any backend is built *)
-let leaf_cache_override : bool option ref = ref None
-
-let config_of_index index =
-  let base =
-    match index with
-    | "openbw" -> None
-    | "bw" -> Some Bwtree.microsoft_config
-    | s ->
-        Printf.eprintf "bwt_server: unknown index %S (try: openbw, bw)\n" s;
-        exit 2
-  in
-  match !leaf_cache_override with
-  | None -> base
-  | Some on ->
-      let b = Option.value base ~default:Bwtree.default_config in
-      Some { b with Bwtree.leaf_cache = on }
-
-let backend_of ~index ~key_type ~shards ~obs ~obs_of ~data_dir ~fsync : built
-    =
-  let config = config_of_index index in
-  let plain backend =
-    { b_backend = backend; b_shutdown = None; b_sources = None;
-      b_repl_handler = None }
-  in
-  let durable (dur : _ Harness.Drivers.durable) =
-    Format.printf "bwt_server: recovered %a@."
-      Pagestore.Store.pp_stats dur.Harness.Drivers.dur_stats;
-    let shutdown () =
-      dur.Harness.Drivers.dur_checkpoint ();
-      dur.Harness.Drivers.dur_close ()
-    in
-    (dur.Harness.Drivers.dur_driver, shutdown,
-     dur.Harness.Drivers.dur_sources)
-  in
-  match (key_type, data_dir) with
-  | "int", None ->
+(* With --shards 1 this is exactly the pre-forest single-tree server: no
+   router, one registry, the plain snapshot — a strict no-op. With N > 1
+   the index is a range-partitioned forest (Bw_shard via
+   Harness.Drivers), each shard feeding its own registry; STATS and the
+   shutdown snapshot report the merged forest-wide totals plus
+   shard<i>_-prefixed per-shard series. *)
+let backend_of (type k) ((module D) : k Harness.Drivers.t) ~config ~shards
+    ~obs ~obs_of ~data_dir ~fsync : built =
+  let lo = D.K.live_lo in
+  match data_dir with
+  | None ->
       let d =
-        if shards = 1 then Harness.Drivers.bwtree_driver_int ?config ~obs ()
-        else
-          (* partition the non-negative ints: that is where realistic
-             client key sets live (negative keys still route, to shard 0) *)
-          Harness.Drivers.bwtree_forest_int ?config ~obs_of ~lo:0 ~shards ()
+        if shards = 1 then D.bwtree ~config ~obs ()
+        else D.forest ~config ~obs_of ?lo ~shards ()
       in
-      plain (Backend.of_int_driver d)
-  | "int", Some dir ->
+      { b_backend = D.backend d; b_shutdown = None; b_sources = None;
+        b_repl_handler = None }
+  | Some dir ->
       let dur =
-        if shards = 1 then
-          Harness.Drivers.durable_bwtree_int ?config ~obs ~fsync ~dir ()
-        else
-          Harness.Drivers.durable_bwtree_forest_int ?config ~obs_of ~lo:0
-            ~fsync ~shards ~dir ()
+        if shards = 1 then D.durable ~config ~obs ~fsync ~dir ()
+        else D.durable_forest ~config ~obs_of ?lo ~fsync ~shards ~dir ()
       in
-      let d, shutdown, sources = durable dur in
-      { b_backend = Backend.of_int_driver d; b_shutdown = Some shutdown;
-        b_sources = Some sources; b_repl_handler = None }
-  | "str", None ->
-      let d =
-        if shards = 1 then Harness.Drivers.bwtree_driver_str ?config ~obs ()
-        else Harness.Drivers.bwtree_forest_str ?config ~obs_of ~shards ()
+      Format.printf "bwt_server: recovered %a@." Pagestore.Store.pp_stats
+        dur.Harness.Drivers.dur_stats;
+      let shutdown () =
+        dur.Harness.Drivers.dur_checkpoint ();
+        dur.Harness.Drivers.dur_close ()
       in
-      plain (Backend.of_str_driver d)
-  | "str", Some dir ->
-      let dur =
-        if shards = 1 then
-          Harness.Drivers.durable_bwtree_str ?config ~obs ~fsync ~dir ()
-        else
-          Harness.Drivers.durable_bwtree_forest_str ?config ~obs_of ~fsync
-            ~shards ~dir ()
-      in
-      let d, shutdown, sources = durable dur in
-      { b_backend = Backend.of_str_driver d; b_shutdown = Some shutdown;
-        b_sources = Some sources; b_repl_handler = None }
-  | s, _ ->
-      Printf.eprintf "bwt_server: unknown key type %S (try: int, str)\n" s;
-      exit 2
+      { b_backend = D.backend dur.Harness.Drivers.dur_driver;
+        b_shutdown = Some shutdown;
+        b_sources = Some dur.Harness.Drivers.dur_sources;
+        b_repl_handler = None }
 
 (* Follow mode: a warm standby that bootstraps from the primary's
    SNAPSHOT frames, applies WALCHUNKs into live trees, and serves reads
    (writes answer ERR) until a PROMOTE frame flips it read-write. *)
-let follower_of ~index ~key_type ~shards ~obs ~obs_of : built =
-  let config = config_of_index index in
+let follower_of (type k) ((module D) : k Harness.Drivers.t) ~config ~shards
+    ~obs ~obs_of : built =
   (* mirror backend_of: a single tree feeds the main registry, a forest
      feeds per-shard registries *)
   let obs_of = if shards = 1 then fun _ -> obs else obs_of in
   let fo =
-    match key_type with
-    | "int" ->
-        Bw_replica.follower_int ?config ~obs ~obs_of ~lo:0 ~shards ()
-    | "str" -> Bw_replica.follower_str ?config ~obs ~obs_of ~shards ()
-    | s ->
-        Printf.eprintf "bwt_server: unknown key type %S (try: int, str)\n" s;
-        exit 2
+    Bw_replica.follower ~config ~obs ~obs_of ?lo:D.K.live_lo ~shards (module D)
   in
   {
     b_backend = fo.Bw_replica.fo_backend;
@@ -129,6 +73,18 @@ let follower_of ~index ~key_type ~shards ~obs ~obs_of : built =
     b_sources = None;
     b_repl_handler = Some fo.Bw_replica.fo_handle;
   }
+
+let usage fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf
+        "bwt_server: %s\n\
+         usage: bwt_server [--port N] [--workers N>=1] [--shards N>=1] \
+         [--index openbw|bw] [--key-type int|str]\n\
+         run 'bwt_server --help' for details\n"
+        msg;
+      exit 2)
+    fmt
 
 let parse_host_port s =
   match String.rindex_opt s ':' with
@@ -167,20 +123,22 @@ let parse_peer s =
    (non-negative ints for int keys, mirroring the in-process forest
    default; the whole slice space for str keys), assigned to the peers
    in order. Later epochs only ever come from migrations. *)
-let bootstrap_table ~key_type peers =
+let bootstrap_table (type k) ((module D) : k Harness.Drivers.t) peers =
   let endpoints = Array.of_list (List.map parse_peer peers) in
-  let n = Array.length endpoints in
-  let u =
-    match key_type with
-    | "int" -> Bw_cluster.Uniform.make_int ~lo:0 n
-    | _ -> Bw_cluster.Uniform.make n
-  in
-  Bw_cluster.Table.of_uniform ~epoch:1L endpoints u
+  let part = D.K.part ?lo:D.K.live_lo (Array.length endpoints) in
+  Bw_cluster.Table.of_uniform ~epoch:1L endpoints (Bw_shard.Part.uniform part)
 
 let main host port workers shards index key_type leaf_cache data_dir no_fsync
     close_on_malformed metrics metrics_json replicate_to follow cluster_self
     cluster_peers =
-  leaf_cache_override := leaf_cache;
+  let (Harness.Drivers.Key witness) =
+    match Harness.Drivers.of_key_type key_type with
+    | Some k -> k
+    | None -> usage "unknown --key-type %S (try: int, str)" key_type
+  in
+  if not (Harness.Drivers.is_bwtree index) then
+    usage "unknown --index %S (try: openbw, bw)" index;
+  let config = Harness.Drivers.config_of_index ?leaf_cache index in
   if workers < 1 then begin
     Printf.eprintf "bwt_server: --workers must be >= 1\n";
     exit 2
@@ -226,9 +184,9 @@ let main host port workers shards index key_type leaf_cache data_dir no_fsync
   in
   let obs_of i = Bw_obs.To shard_regs.(i) in
   let built =
-    if follow then follower_of ~index ~key_type ~shards ~obs ~obs_of
+    if follow then follower_of witness ~config ~shards ~obs ~obs_of
     else
-      backend_of ~index ~key_type ~shards ~obs ~obs_of ~data_dir
+      backend_of witness ~config ~shards ~obs ~obs_of ~data_dir
         ~fsync:(not no_fsync)
   in
   let backend = built.b_backend and on_shutdown = built.b_shutdown in
@@ -254,7 +212,7 @@ let main host port workers shards index key_type leaf_cache data_dir no_fsync
   let gate, migrate_handler, join_migration =
     match (cluster_self, cluster_peers) with
     | Some self, Some peers ->
-        let table = bootstrap_table ~key_type peers in
+        let table = bootstrap_table witness peers in
         let g = Bw_server.Cluster_gate.create ~obs ~self table in
         let mig_tid = workers + 1 in
         let scan k ~n =
@@ -299,6 +257,12 @@ let main host port workers shards index key_type leaf_cache data_dir no_fsync
       migrate_handler;
     }
   in
+  (* handlers go in before the serving banner: a SIGTERM sent as soon as
+     the banner appears must drain, not kill the process *)
+  let stop_requested = ref false in
+  let on_signal _ = stop_requested := true in
+  Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
+  Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
   let server = Server.start ~config backend in
   Printf.printf "bwt_server: serving %s (%s keys) on %s:%d with %d workers\n%!"
     backend.Index_iface.name key_type host (Server.port server) workers;
@@ -325,10 +289,6 @@ let main host port workers shards index key_type leaf_cache data_dir no_fsync
         Printf.printf "bwt_server: replicating to %s:%d\n%!" rhost rport;
         Some sh
   in
-  let stop_requested = ref false in
-  let on_signal _ = stop_requested := true in
-  Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-  Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
   while not !stop_requested do
     (try Unix.sleepf 0.1 with Unix.Unix_error (EINTR, _, _) -> ())
   done;

@@ -47,7 +47,7 @@ let speclist =
       "S epoch scheme: centralized | decentralized | disabled" );
     ( "--index",
       Arg.Set_string index,
-      "S subject: openbw | bw | skiplist | btree | art | masstree" );
+      "S subject: " ^ String.concat " | " Harness.Drivers.index_names );
     ( "--shards",
       Arg.Set_int shards,
       "N range-partition the subject into N shards (default 1; runs the \
@@ -87,6 +87,12 @@ let speclist =
 
 let usage = "stress [options]: multi-domain invariant-checking stress run"
 
+(* a bad option value: name it, print the usage, exit 2 *)
+let bad msg =
+  Printf.eprintf "stress: %s\n" msg;
+  Arg.usage (Arg.align speclist) usage;
+  exit 2
+
 let () =
   Arg.parse (Arg.align speclist)
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
@@ -96,9 +102,11 @@ let () =
     | "centralized" -> Epoch.Centralized
     | "decentralized" -> Epoch.Decentralized
     | "disabled" -> Epoch.Disabled
-    | s -> raise (Arg.Bad ("unknown scheme " ^ s))
+    | s -> bad ("unknown --scheme " ^ s)
   in
-  if !batch < 1 then raise (Arg.Bad "--batch must be >= 1");
+  if not (List.mem !index Harness.Drivers.index_names) then
+    bad ("unknown --index " ^ !index);
+  if !batch < 1 then bad "--batch must be >= 1";
   if !crash then begin
     let dir =
       if !crash_dir <> "" then !crash_dir
@@ -150,9 +158,9 @@ let () =
     if !metrics || !metrics_json <> "" then Bw_obs.To (Bw_obs.create ())
     else Bw_obs.Null
   in
-  if !shards < 1 then raise (Arg.Bad "--shards must be >= 1");
+  if !shards < 1 then bad "--shards must be >= 1";
   if !shards > 1 && not !unique then
-    raise (Arg.Bad "--non-unique is only supported with --shards 1");
+    bad "--non-unique is only supported with --shards 1";
   (* a forest subject goes through the driver interface (probe-less, so
      the epoch/gauge cross-checks are skipped) but the journal-replay,
      keyspace-sweep and scan invariants all run against the router;
@@ -165,39 +173,19 @@ let () =
       let part = Bw_shard.Part.make_int ~lo:0 ~hi:(keyspace - 1) !shards in
       Bw_shard.route_int part (Array.init !shards (fun _ -> mk ()))
   in
+  let config =
+    {
+      (Harness.Drivers.config_of_index ?leaf_cache:!leaf_cache !index) with
+      gc_scheme;
+      unique_keys = !unique;
+    }
+  in
   let subject =
-    match !index with
-    | "openbw" | "bw" ->
-        let base =
-          if !index = "bw" then Bwtree.microsoft_config
-          else Bwtree.default_config
-        in
-        let config = { base with gc_scheme; unique_keys = !unique } in
-        let config =
-          match !leaf_cache with
-          | None -> config
-          | Some on -> { config with Bwtree.leaf_cache = on }
-        in
-        if !shards = 1 then
-          Bw_stress.bwtree_subject ~config ~obs
-            ~domains:cfg.Bw_stress.domains ()
-        else
-          Bw_stress.of_driver
-            (forest (fun () ->
-                 Harness.Drivers.bwtree_driver_int ~config ~obs ()))
-    | "skiplist" ->
-        Bw_stress.of_driver
-          (forest (fun () -> Harness.Drivers.skiplist_driver_int ()))
-    | "btree" ->
-        Bw_stress.of_driver
-          (forest (fun () -> Harness.Drivers.btree_driver_int ()))
-    | "art" ->
-        Bw_stress.of_driver
-          (forest (fun () -> Harness.Drivers.art_driver_int ()))
-    | "masstree" ->
-        Bw_stress.of_driver
-          (forest (fun () -> Harness.Drivers.masstree_driver_int ()))
-    | s -> raise (Arg.Bad ("unknown index " ^ s))
+    if Harness.Drivers.is_bwtree !index && !shards = 1 then
+      Bw_stress.bwtree_subject ~config ~obs ~domains:cfg.Bw_stress.domains ()
+    else
+      Bw_stress.of_driver
+        (forest (fun () -> Harness.Drivers.Int.index ~config ~obs !index))
   in
   Printf.printf
     "stress: %s | %d domains + %d churn | scheme %s | %s keys%s\n%!"

@@ -11,39 +11,6 @@ open Cmdliner
 module W = Workload
 open Harness
 
-let index_names =
-  [ "bw"; "openbw"; "skiplist"; "skiplist-inline"; "masstree"; "btree"; "art" ]
-
-(* The Bw-Tree drivers take the sink directly (the tree instruments its
-   own operations, adding restart and chain-depth series); competitor
-   drivers are wrapped so only operation latency is recorded. *)
-let mk_int_driver name (obs : Bw_obs.sink) : int Runner.driver =
-  match name with
-  | "bw" ->
-      Drivers.bwtree_driver_int ~name:"Bw-Tree"
-        ~config:Bwtree.microsoft_config ~obs ()
-  | "openbw" -> Drivers.bwtree_driver_int ~obs ()
-  | "skiplist" -> Runner.instrument obs (Drivers.skiplist_driver_int ())
-  | "skiplist-inline" ->
-      Runner.instrument obs (Drivers.skiplist_driver_int ~policy:Skiplist.Inline ())
-  | "masstree" -> Runner.instrument obs (Drivers.masstree_driver_int ())
-  | "btree" -> Runner.instrument obs (Drivers.btree_driver_int ())
-  | "art" -> Runner.instrument obs (Drivers.art_driver_int ())
-  | _ -> invalid_arg "unknown index"
-
-let mk_str_driver name (obs : Bw_obs.sink) : string Runner.driver =
-  match name with
-  | "bw" ->
-      Drivers.bwtree_driver_str ~name:"Bw-Tree"
-        ~config:Bwtree.microsoft_config ~obs ()
-  | "openbw" -> Drivers.bwtree_driver_str ~obs ()
-  | "skiplist" | "skiplist-inline" ->
-      Runner.instrument obs (Drivers.skiplist_driver_str ())
-  | "masstree" -> Runner.instrument obs (Drivers.masstree_driver_str ())
-  | "btree" -> Runner.instrument obs (Drivers.btree_driver_str ())
-  | "art" -> Runner.instrument obs (Drivers.art_driver_str ())
-  | _ -> invalid_arg "unknown index"
-
 (* One registry for a single tree; one per shard for a forest. The text
    snapshot and the merged JSON totals are identical either way; a
    sharded run's JSON additionally carries shard<i>_-prefixed series. *)
@@ -99,12 +66,38 @@ let run_generic (type k) (driver : k Runner.driver) ~(conv : int -> k) ~space
     Printf.printf "memory: %.2f MB live heap\n%!"
       (float_of_int (driver.memory_words () * 8) /. 1024.0 /. 1024.0)
 
+(* --shards 1 builds exactly the single driver of previous releases;
+   N > 1 routes N instances of the same index through lib/shard.
+   --data-dir runs a durable Bw-Tree (recovery on open, group-commit WAL
+   while running) so the WAL overhead is measurable against the
+   in-memory build at the same --batch. *)
+let run (type k) ((module D) : k Drivers.t) ~index ~config ~shards ~obs_of
+    ~data_dir ~fsync ~space ~mix ~threads ~batch ~cfg ~show_memory =
+  let lo, hi = D.K.workload_range in
+  let driver, close =
+    match data_dir with
+    | Some dir ->
+        let dur =
+          if shards = 1 then D.durable ~config ~obs:(obs_of 0) ~fsync ~dir ()
+          else D.durable_forest ~config ~obs_of ?lo ?hi ~fsync ~shards ~dir ()
+        in
+        (dur.Drivers.dur_driver, dur.Drivers.dur_close)
+    | None ->
+        let mk i = D.index ~config ~obs:(obs_of i) index in
+        ( (if shards = 1 then mk 0
+           else D.route (D.K.part ?lo ?hi shards) (Array.init shards mk)),
+          ignore )
+  in
+  run_generic driver ~conv:(D.K.of_workload space) ~space ~mix ~threads ~batch
+    ~cfg ~show_memory;
+  close ()
+
 let main index workload keyspace keys ops threads shards batch theta
     leaf_cache data_dir no_fsync show_memory metrics metrics_json list_ =
   if list_ then begin
     Printf.printf "indexes: %s\nworkloads: insert | c | a | e\nkeyspaces: \
                    mono | rand | email | hc\n"
-      (String.concat " " index_names);
+      (String.concat " " Drivers.index_names);
     exit 0
   end;
   let usage () =
@@ -135,7 +128,7 @@ let main index workload keyspace keys ops threads shards batch theta
                         hc)\n" s;
         usage ()
   in
-  if not (List.mem index index_names) then begin
+  if not (List.mem index Drivers.index_names) then begin
     Printf.eprintf "ycsb: unknown --index %S (try --list)\n" index;
     usage ()
   end;
@@ -172,82 +165,15 @@ let main index workload keyspace keys ops threads shards batch theta
   let obs_of i =
     if Array.length regs = 0 then Bw_obs.Null else Bw_obs.To regs.(i)
   in
-  (* --data-dir runs a durable Bw-Tree (recovery on open, group-commit
-     WAL while running) so the WAL overhead is measurable against the
-     in-memory build at the same --batch; the other indexes have no
-     pagestore to write to. *)
-  if data_dir <> None && not (List.mem index [ "bw"; "openbw" ]) then begin
+  (* the other indexes have no pagestore to write to *)
+  if data_dir <> None && not (Drivers.is_bwtree index) then begin
     Printf.eprintf "ycsb: --data-dir requires a Bw-Tree index (bw, openbw)\n";
     usage ()
   end;
-  (* --leaf-cache overrides the config default (on for openbw, off for
-     the baseline); leaving it unset keeps each config's own setting *)
-  let bw_config =
-    match leaf_cache with
-    | None -> if index = "bw" then Some Bwtree.microsoft_config else None
-    | Some on ->
-        let base =
-          if index = "bw" then Bwtree.microsoft_config
-          else Bwtree.default_config
-        in
-        Some { base with Bwtree.leaf_cache = on }
-  in
-  let fsync = not no_fsync in
-  let durable_close = ref (fun () -> ()) in
-  (* --shards 1 builds exactly the single driver of previous releases;
-     N > 1 routes N instances of the same index through lib/shard *)
-  (match space with
-  | W.Email ->
-      let driver =
-        match data_dir with
-        | Some dir ->
-            let dur =
-              if shards = 1 then
-                Drivers.durable_bwtree_str ?config:bw_config ~obs:(obs_of 0)
-                  ~fsync ~dir ()
-              else
-                Drivers.durable_bwtree_forest_str ?config:bw_config ~obs_of
-                  ~lo:"a" ~hi:"z" ~fsync ~shards ~dir ()
-            in
-            durable_close := dur.Drivers.dur_close;
-            dur.Drivers.dur_driver
-        | None ->
-            if shards = 1 then mk_str_driver index (obs_of 0)
-            else
-              (* email keys all start with a lowercase name, so partition
-                 the ["a", "z") slice range rather than the full space *)
-              let part = Bw_shard.Part.make ~lo:"a" ~hi:"z" shards in
-              Bw_shard.route_binary part
-                (Array.init shards (fun i -> mk_str_driver index (obs_of i)))
-      in
-      run_generic driver ~conv:W.email_key_of ~space ~mix ~threads ~batch
-        ~cfg ~show_memory
-  | _ ->
-      let driver =
-        match data_dir with
-        | Some dir ->
-            let dur =
-              if shards = 1 then
-                Drivers.durable_bwtree_int ?config:bw_config ~obs:(obs_of 0)
-                  ~fsync ~dir ()
-              else
-                Drivers.durable_bwtree_forest_int ?config:bw_config ~obs_of
-                  ~lo:0 ~fsync ~shards ~dir ()
-            in
-            durable_close := dur.Drivers.dur_close;
-            dur.Drivers.dur_driver
-        | None ->
-            if shards = 1 then mk_int_driver index (obs_of 0)
-            else
-              (* every ycsb keyspace generates non-negative keys, so
-                 partition [0, max_int] — rand keys spread evenly *)
-              let part = Bw_shard.Part.make_int ~lo:0 shards in
-              Bw_shard.route_int part
-                (Array.init shards (fun i -> mk_int_driver index (obs_of i)))
-      in
-      run_generic driver ~conv:(W.int_key_of space) ~space ~mix ~threads
-        ~batch ~cfg ~show_memory);
-  !durable_close ();
+  let config = Drivers.config_of_index ?leaf_cache index in
+  let (Drivers.Key d) = Drivers.of_space space in
+  run d ~index ~config ~shards ~obs_of ~data_dir ~fsync:(not no_fsync) ~space
+    ~mix ~threads ~batch ~cfg ~show_memory;
   emit_metrics ~regs ~text:metrics ~json_file:metrics_json
 
 let cmd =

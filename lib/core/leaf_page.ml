@@ -5,10 +5,8 @@
     structure: every key's binary-comparable encoding ({!KEY.to_binary},
     the same slices {!Bw_util.Key_codec} gives the trie indexes) laid out
     contiguously in one byte arena. The arena is the serialization format
-    (checkpoints blit it) and supports a decode-free branchless lower
-    bound ({!lower_bound} [~arena:true]); the hot-path default searches
-    the decoded cache, which measures faster on skewed reads. The arena
-    ends in a small *gap* region so a consolidation
+    (checkpoints blit it); searches run over the decoded key cache. The
+    arena ends in a small *gap* region so a consolidation
     can often reuse its predecessor's arena — surviving keys keep their
     byte slices, only the delta chain's new keys are appended into the gap
     (claimed by an atomic bump so racing consolidators of the same logical
@@ -65,12 +63,9 @@ module type S = sig
   val value : t -> int -> value
   val get : t -> int -> key * value
 
-  val lower_bound : ?tid:int -> ?arena:bool -> t -> key -> int
-  (** First index whose key is [>=] the argument. [~arena:true] runs
-      the branchless word-parallel walk over the packed byte arena on
-      variable-length packed pages (decode-free: it touches only what
-      {!encode} serializes); the default searches the decoded key cache,
-      which measures faster on skewed reads. Both arms agree. *)
+  val lower_bound : ?tid:int -> t -> key -> int
+  (** First index whose key is [>=] the argument, searched over the
+      decoded key cache. *)
 
   val iter_from : t -> int -> (key -> value -> unit) -> unit
   (** [iter_from t pos f] visits items [pos..length-1] in key order. *)
@@ -113,8 +108,7 @@ module type FULL = sig
 
   val build_sub : ?packed:bool -> (key * value) array -> pos:int -> len:int -> t
 
-  val lower_bound_in :
-    ?tid:int -> ?arena:bool -> t -> key -> lo:int -> hi:int -> int
+  val lower_bound_in : ?tid:int -> t -> key -> lo:int -> hi:int -> int
   (** {!lower_bound} restricted to [\[lo, hi)] — the §4.4 shortcut range. *)
 
   val with_inserted : t -> int -> key -> value -> t
@@ -218,69 +212,8 @@ module Make (K : KEY) (V : VALUE) :
   let search_cost t = search_cost_n t.n
 
   (* ---------------------------------------------------------------- *)
-  (* Word-parallel comparison over the arena                           *)
-  (* ---------------------------------------------------------------- *)
-
-  (* j-th big-endian 56-bit chunk (7 bytes, zero-padded low past the
-     slice end) of the slice at [pos, pos+len) in [bb], as a native int.
-     56 bits per step keep the chunk unboxed — Int64 loads allocate on
-     every comparison step without flambda, which dominates the probe.
-     Never reads beyond the slice: the arena is shared, so the bytes
-     after it belong to other keys. *)
-  let chunk56 bb pos len j =
-    let off = j * 7 in
-    let stop = if len - off >= 7 then 7 else max 0 (len - off) in
-    let v = ref 0 in
-    for b = 0 to stop - 1 do
-      v := (!v lsl 8) lor Char.code (Bytes.unsafe_get bb (pos + off + b))
-    done;
-    !v lsl ((7 - stop) lsl 3)
-
-  (* Same chunk of the encoded target key. *)
-  let schunk56 s j =
-    let off = j * 7 in
-    let len = String.length s in
-    let stop = if len - off >= 7 then 7 else max 0 (len - off) in
-    let v = ref 0 in
-    for b = 0 to stop - 1 do
-      v := (!v lsl 8) lor Char.code (String.unsafe_get s (off + b))
-    done;
-    !v lsl ((7 - stop) lsl 3)
-
-  (* Compare the slice at index [i] against the encoded target [tb]:
-     comparison of zero-padded 56-bit chunks. All chunks equal means one
-     slice zero-extends the other, so the shorter sorts first — exactly
-     lexicographic order on the raw bytes. *)
-  let cmp_slot t i tb =
-    let pos = Array.unsafe_get t.kpos i and len = Array.unsafe_get t.klen i in
-    let tlen = String.length tb in
-    let chunks = (max len tlen + 6) / 7 in
-    let rec go j =
-      if j >= chunks then Int.compare len tlen
-      else
-        let c = Int.compare (chunk56 t.arena.bb pos len j) (schunk56 tb j) in
-        if c <> 0 then c else go (j + 1)
-    in
-    go 0
-
-  (* ---------------------------------------------------------------- *)
   (* Search                                                            *)
   (* ---------------------------------------------------------------- *)
-
-  (* Branchless lower bound over [lo, hi): every iteration does one
-     comparison and converts it to arithmetic instead of a data-dependent
-     branch, so an n-slot search is a deterministic floor(log2 n)+1
-     comparisons. *)
-  let lower_bound_packed t tb ~lo ~hi =
-    let base = ref lo and len = ref (hi - lo) in
-    while !len > 0 do
-      let half = !len lsr 1 in
-      let mid = !base + half in
-      let lt = Bool.to_int (cmp_slot t mid tb < 0) in
-      base := !base + (lt * (half + 1));
-      len := half + (lt * ((!len land 1) - 1))
-    done;
-    !base
 
   let lower_bound_boxed t k ~lo ~hi =
     let lo = ref lo and hi = ref hi in
@@ -292,33 +225,22 @@ module Make (K : KEY) (V : VALUE) :
     done;
     !lo
 
-  (* Dispatch. The default arm is the classic branchy search over the
-     decoded cache: for word-sized keys the cache is a flat unboxed
-     array (already the cache-optimal layout, no per-probe [to_binary]
+  (* The classic branchy search over the decoded cache: for word-sized
+     keys the cache is a flat unboxed array (no per-probe [to_binary]
      encode), for strings [K.compare] bottoms out in the memcmp stub,
      and on skewed read workloads the predictor learns hot descent
-     paths — measured on YCSB C (Zipf 0.99, int and email keys) it
-     beats the branchless arena walk's serialized dependency chain in
-     every configuration we tried. [~arena] selects the arena walk on
-     variable-length packed pages instead: no decoded-cache dependence
-     (it reads only what {!encode} writes, so it can search a page
-     straight off the wire) and a deterministic comparison count — the
-     ablation arm and the decode-free path, not the hot-path default.
-     Either way an n-slot search does at most [search_cost_n n]
-     comparisons, which is what [search_cost] reports and the
-     [leaf_probe_cmps] counter charges. *)
-  let lower_bound_in ?(tid = 0) ?(arena = false) t k ~lo ~hi =
+     paths. An n-slot search does at most [search_cost_n n] comparisons,
+     which is what [search_cost] reports and the [leaf_probe_cmps]
+     counter charges. *)
+  let lower_bound_in ?(tid = 0) t k ~lo ~hi =
     if hi <= lo then lo
     else begin
       if !Counters.enabled then
         cnt_n tid Counters.Key_compare (search_cost_n (hi - lo));
-      if arena && t.pk && not t.fixed8 then
-        lower_bound_packed t (K.to_binary k) ~lo ~hi
-      else lower_bound_boxed t k ~lo ~hi
+      lower_bound_boxed t k ~lo ~hi
     end
 
-  let lower_bound ?(tid = 0) ?arena t k =
-    lower_bound_in ~tid ?arena t k ~lo:0 ~hi:t.n
+  let lower_bound ?(tid = 0) t k = lower_bound_in ~tid t k ~lo:0 ~hi:t.n
 
   (* ---------------------------------------------------------------- *)
   (* Iteration / materialization                                       *)

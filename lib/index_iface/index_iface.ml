@@ -261,6 +261,3 @@ let backend_of_driver ?decode_scan_key ~(decode_key : string -> 'k)
 let backend_of_int_driver (d : int driver) : backend =
   backend_of_driver ~decode_scan_key:Bw_util.Key_codec.int_at_least
     ~decode_key:Bw_util.Key_codec.to_int ~encode_key:Bw_util.Key_codec.of_int d
-
-let backend_of_str_driver (d : string driver) : backend =
-  backend_of_driver ~decode_key:(fun s -> s) ~encode_key:(fun s -> s) d

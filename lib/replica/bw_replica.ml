@@ -33,11 +33,9 @@ let err fmt = Format.kasprintf (fun m -> Wire.Err m) fmt
 (* Standby-side applier                                                *)
 (* ------------------------------------------------------------------ *)
 
-module Follow
-    (KC : Pagestore.Codec.CODEC)
-    (T : Bwtree.S with type key = KC.t and type value = int) =
-struct
-  module S = Pagestore.Store.Make (KC) (T)
+module Follow (D : Harness.Drivers.S) = struct
+  module T = D.Bw
+  module S = D.Durable
 
   (* One followed shard. [tree] is replaced wholesale by a re-bootstrap
      or a promotion-time cold rebuild, so every serving closure re-reads
@@ -60,7 +58,6 @@ struct
 
   type t = {
     shards : shard array;
-    key_type : string;
     config : Bwtree.config option;
     obs : Bw_obs.sink;  (** replication counters and lag gauges *)
     obs_of : int -> Bw_obs.sink;  (** per-shard tree sinks *)
@@ -75,11 +72,10 @@ struct
   let fresh_tree t sid = T.create ?config:t.config ~obs:(t.obs_of sid) ()
 
   let create ?config ?(obs = Bw_obs.Null) ?(obs_of = fun _ -> Bw_obs.Null)
-      ~key_type ~shards () =
+      ~shards () =
     let t =
       {
         shards = [||];
-        key_type;
         config;
         obs;
         obs_of;
@@ -142,9 +138,9 @@ struct
     | S.W.W_remove k -> ignore (T.delete tree ~tid k 0 : bool)
 
   let handle_subscribe t ~key_type ~shards =
-    if key_type <> t.key_type then
+    if key_type <> D.K.name then
       err "key type mismatch: primary ships %s, follower serves %s" key_type
-        t.key_type
+        D.K.name
     else if shards <> Array.length t.shards then
       err "shard count mismatch: primary has %d, follower has %d" shards
         (Array.length t.shards)
@@ -319,7 +315,7 @@ struct
   (* The serving view of shard [sh]: reads pass through to the live tree,
      writes raise {!Index_iface.Read_only} until promotion. [batch] is
      [None] so BATCH frames fall back to the gated point ops. *)
-  let gated_driver t sh : KC.t Index_iface.driver =
+  let gated_driver t sh : D.key Index_iface.driver =
     let gate () = if not t.promoted then raise Index_iface.Read_only in
     let hd_opt = function [] -> None | v :: _ -> Some v in
     {
@@ -348,11 +344,6 @@ struct
   let drivers t = Array.map (gated_driver t) t.shards
 end
 
-module Bw_int = Bwtree.Make (Index_iface.Int_key) (Index_iface.Int_value)
-module Bw_str = Bwtree.Make (Index_iface.String_key) (Index_iface.Int_value)
-module F_int = Follow (Pagestore.Codec.Int) (Bw_int)
-module F_str = Follow (Pagestore.Codec.String) (Bw_str)
-
 (** The monomorphic view a serving process needs: a backend to serve
     GET/SCAN/STATS (writes answer ERR until promotion), the handler for
     replication frames (plugged into [Server.config.repl_handler]), and
@@ -363,33 +354,22 @@ type follower = {
   fo_promoted : unit -> bool;
 }
 
-(* Shard routing must mirror the primary's ([bwt_server] partitions int
-   forests with [~lo:0]) so shard indices in the stream line up with the
-   follower's own partition. *)
-let follower_int ?config ?obs ?obs_of ?lo ?hi ~shards () =
-  let f = F_int.create ?config ?obs ?obs_of ~key_type:"int" ~shards () in
-  let drivers = F_int.drivers f in
+(* Shard routing must mirror the primary's ([bwt_server] partitions
+   from the key witness's [live_lo]) so shard indices in the stream line
+   up with the follower's own partition. *)
+let follower (type k) ?config ?obs ?obs_of ?lo ?hi ~shards
+    ((module D) : k Harness.Drivers.t) =
+  let module F = Follow (D) in
+  let f = F.create ?config ?obs ?obs_of ~shards () in
+  let drivers = F.drivers f in
   let driver =
     if shards = 1 then drivers.(0)
-    else Bw_shard.route_int (Bw_shard.Part.make_int ?lo ?hi shards) drivers
+    else D.route (D.K.part ?lo ?hi shards) drivers
   in
   {
-    fo_backend = Index_iface.backend_of_int_driver driver;
-    fo_handle = F_int.handle f;
-    fo_promoted = (fun () -> F_int.promoted f);
-  }
-
-let follower_str ?config ?obs ?obs_of ?lo ?hi ~shards () =
-  let f = F_str.create ?config ?obs ?obs_of ~key_type:"str" ~shards () in
-  let drivers = F_str.drivers f in
-  let driver =
-    if shards = 1 then drivers.(0)
-    else Bw_shard.route_binary (Bw_shard.Part.make ?lo ?hi shards) drivers
-  in
-  {
-    fo_backend = Index_iface.backend_of_str_driver driver;
-    fo_handle = F_str.handle f;
-    fo_promoted = (fun () -> F_str.promoted f);
+    fo_backend = D.backend driver;
+    fo_handle = F.handle f;
+    fo_promoted = (fun () -> F.promoted f);
   }
 
 (* ------------------------------------------------------------------ *)

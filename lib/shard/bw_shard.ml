@@ -127,8 +127,3 @@ let route_int ?name part shards =
   check_arity part shards;
   route ?name ~shard_of:(Part.shard_of_int part)
     ~floor_of:(Part.floor_int part) shards
-
-let route_binary ?name part shards =
-  check_arity part shards;
-  route ?name ~shard_of:(Part.shard_of_binary part)
-    ~floor_of:(Part.floor_binary part) shards

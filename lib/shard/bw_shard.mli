@@ -87,11 +87,3 @@ val route_int :
   ?name:string -> Part.t -> int Index_iface.driver array -> int Index_iface.driver
 (** [route] specialized to int keys via [Part]. Raises
     [Invalid_argument] if the array length differs from [Part.count]. *)
-
-val route_binary :
-  ?name:string ->
-  Part.t ->
-  string Index_iface.driver array ->
-  string Index_iface.driver
-(** [route] for drivers keyed by binary-comparable strings (email keys,
-    or backends). Same length check as {!route_int}. *)

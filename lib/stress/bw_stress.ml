@@ -100,7 +100,7 @@ let bwtree_subject ?(config = Bwtree.default_config) ?(obs = Bw_obs.Null)
       { config with Bwtree.max_threads = domains + 1 }
     else config
   in
-  let module B = Harness.Drivers.Bw_int in
+  let module B = Harness.Drivers.Int.Bw in
   let t = B.create ~config ~obs () in
   {
     s_name = "OpenBw-Tree";
@@ -881,7 +881,7 @@ let flip_random_bit rng path size =
    cycle against a fresh data dir. *)
 let run_crash_round (cfg : crash_config) ~seed ~record =
   let module D = Harness.Drivers in
-  let module W = D.Durable_int.W in
+  let module W = D.Int.Durable.W in
   let shards = max 1 cfg.cc_shards in
   let keyspace = cfg.cc_domains * cfg.cc_keys_per_domain in
   let checker_tid = cfg.cc_domains in
@@ -890,12 +890,12 @@ let run_crash_round (cfg : crash_config) ~seed ~record =
   Pagestore.Store.rm_rf cfg.cc_dir;
   let open_durable ?on_replay () : int D.durable =
     if shards = 1 then
-      D.durable_bwtree_int ~segment_bytes:cfg.cc_segment_bytes
+      D.Int.durable ~segment_bytes:cfg.cc_segment_bytes
         ~fsync:cfg.cc_fsync
         ?on_replay:(Option.map (fun f -> f 0) on_replay)
         ~dir:cfg.cc_dir ()
     else
-      D.durable_bwtree_forest_int ~segment_bytes:cfg.cc_segment_bytes
+      D.Int.durable_forest ~segment_bytes:cfg.cc_segment_bytes
         ~fsync:cfg.cc_fsync ~lo:0 ~hi:(keyspace - 1) ?on_replay ~shards
         ~dir:cfg.cc_dir ()
   in

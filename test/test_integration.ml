@@ -7,10 +7,10 @@ open Harness
 module W = Workload
 
 let drivers () : (string * int Runner.driver) list =
-  List.map (fun (name, mk) -> (name, mk ())) (Drivers.int_lineup ())
+  List.map (fun (name, mk) -> (name, mk ())) (Drivers.Int.lineup ())
 
 let str_drivers () : (string * string Runner.driver) list =
-  List.map (fun (name, mk) -> (name, mk ())) (Drivers.str_lineup ())
+  List.map (fun (name, mk) -> (name, mk ())) (Drivers.Str.lineup ())
 
 (* replay the same random op sequence on every index and on a model;
    verify identical observable results *)
@@ -175,7 +175,7 @@ let test_scan_early_termination () =
 (* the harness load/run plumbing produces sensible results *)
 let test_harness_phases () =
   let cfg = { W.default_config with num_keys = 5_000; num_ops = 10_000 } in
-  let d = Drivers.bwtree_driver_int () in
+  let d = Drivers.Int.bwtree () in
   let trace = W.load_trace cfg W.Rand_int (W.int_key_of W.Rand_int) in
   let load = Runner.load d ~nthreads:4 trace in
   Alcotest.(check int) "load ops" 5_000 load.ops;
@@ -216,7 +216,7 @@ let test_harness_hc_and_all_mixes () =
                 true (r.ops > 0));
           d.Runner.stop_aux ())
         [ W.Insert_only; W.Read_only; W.Read_update; W.Scan_insert ])
-    (Drivers.int_lineup ())
+    (Drivers.Int.lineup ())
 
 let test_barrier () =
   let b = Runner.Barrier.create 4 in

@@ -637,9 +637,9 @@ let run_store_oracle ~shards (ops, cut) =
   with_tmp_dir (fun dir ->
       let open_durable () =
         if shards = 1 then
-          Harness.Drivers.durable_bwtree_int ~fsync:false ~dir ()
+          Harness.Drivers.Int.durable ~fsync:false ~dir ()
         else
-          Harness.Drivers.durable_bwtree_forest_int ~fsync:false ~lo:0 ~hi:63
+          Harness.Drivers.Int.durable_forest ~fsync:false ~lo:0 ~hi:63
             ~shards ~dir ()
       in
       let oracle = Hashtbl.create 64 in

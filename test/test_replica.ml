@@ -9,7 +9,7 @@ module Wire = Bw_server.Wire
 module T = Bwtree.Make (Index_iface.Int_key) (Index_iface.Int_value)
 module Store_int = Pagestore.Store.Make (Pagestore.Codec.Int) (T)
 module W = Store_int.W
-module F = Bw_replica.F_int
+module F = Bw_replica.Follow (Harness.Drivers.Int)
 
 let tmp_counter = ref 0
 
@@ -105,7 +105,7 @@ let test_wire_roundtrip () =
 (* --- stream protocol guards --- *)
 
 let test_protocol_guards () =
-  let f = F.create ~key_type:"int" ~shards:2 () in
+  let f = F.create ~shards:2 () in
   expect_err
     (F.handle f ~tid:0 (Wire.R_subscribe { key_type = "str"; shards = 2 }));
   expect_err
@@ -130,7 +130,7 @@ let test_protocol_guards () =
     (d.Index_iface.read ~tid:0 1)
 
 let test_generation_handoff () =
-  let f = F.create ~key_type:"int" ~shards:1 () in
+  let f = F.create ~shards:1 () in
   subscribe f;
   bootstrap_empty f 0;
   ignore
@@ -153,7 +153,7 @@ let test_generation_handoff () =
     (d.Index_iface.read ~tid:0 2)
 
 let test_read_only_until_promoted () =
-  let f = F.create ~key_type:"int" ~shards:1 () in
+  let f = F.create ~shards:1 () in
   subscribe f;
   bootstrap_empty f 0;
   let d = (F.drivers f).(0) in
@@ -213,7 +213,7 @@ let test_snapshot_bootstrap () =
       let n = List.length pages in
       let first = List.filteri (fun i _ -> i < n / 2) pages in
       let rest = List.filteri (fun i _ -> i >= n / 2) pages in
-      let f = F.create ~key_type:"int" ~shards:1 () in
+      let f = F.create ~shards:1 () in
       subscribe f;
       ignore (ok (snap f ~last:false ~items:0 first) : int);
       (* chunks are refused while the bootstrap is still in flight *)
@@ -228,7 +228,7 @@ let test_snapshot_bootstrap () =
       done;
       (* a final chunk whose loaded count disagrees with the manifest is
          an integrity failure, not an armed stream *)
-      let f2 = F.create ~key_type:"int" ~shards:1 () in
+      let f2 = F.create ~shards:1 () in
       subscribe f2;
       expect_err (snap f2 ~last:true ~items first))
 
@@ -272,7 +272,7 @@ let run_follow ~shards (ops, seed, prefix_sel) =
   let part = Bw_shard.Part.make_int ~lo:0 ~hi:63 shards in
   let cut = prefix_sel mod (List.length ops + 1) in
   let prefix = List.filteri (fun i _ -> i < cut) ops in
-  let f = F.create ~key_type:"int" ~shards () in
+  let f = F.create ~shards () in
   ignore
     (ok (F.handle f ~tid:0 (Wire.R_subscribe { key_type = "int"; shards }))
       : int);
@@ -345,7 +345,7 @@ let test_promotion_tail_replay () =
           : int);
       let payloads = List.rev !payloads in
       Store_int.close st;
-      let f = F.create ~key_type:"int" ~shards:1 () in
+      let f = F.create ~shards:1 () in
       subscribe f;
       bootstrap_empty f 0;
       (* only the first 25 records arrived before the "crash" *)
@@ -380,7 +380,7 @@ let test_promotion_cold_rebuild () =
          checkpointed into generation 1 and died: the WAL it was
          following is gone from disk, so promotion must fall back to a
          cold rebuild of the committed state *)
-      let f = F.create ~key_type:"int" ~shards:1 () in
+      let f = F.create ~shards:1 () in
       subscribe f;
       bootstrap_empty f 0;
       ignore

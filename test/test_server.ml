@@ -11,7 +11,7 @@ module Key = Bw_util.Key_codec
 let start_server ?(workers = 2) ?(close_on_malformed = false)
     ?(obs = Bw_obs.Null) () =
   let backend =
-    Backend.of_int_driver (Harness.Drivers.bwtree_driver_int ~obs ())
+    Harness.Drivers.Int.backend (Harness.Drivers.Int.bwtree ~obs ())
   in
   let config =
     { Server.default_config with port = 0; workers; close_on_malformed; obs }
@@ -330,8 +330,8 @@ let test_sync_ops () =
    sharded stats hook feeds the STATS frame. *)
 let test_forest_backend () =
   let backend =
-    Backend.of_int_driver
-      (Harness.Drivers.bwtree_forest_int ~lo:0 ~hi:1023 ~shards:4 ())
+    Harness.Drivers.Int.backend
+      (Harness.Drivers.Int.forest ~lo:0 ~hi:1023 ~shards:4 ())
   in
   let config =
     {

@@ -100,7 +100,7 @@ let prop_binary_monotone =
 
 let test_scan_boundaries () =
   let p = P.make_int ~lo:0 ~hi:1023 4 in
-  let d = Bw_shard.route_int p (Array.init 4 (fun _ -> D.btree_driver_int ())) in
+  let d = Bw_shard.route_int p (Array.init 4 (fun _ -> D.Int.btree ())) in
   for k = 0 to 1023 do
     assert (d.I.insert ~tid:0 k (k * 2))
   done;
@@ -138,7 +138,7 @@ let test_scan_boundaries () =
   Alcotest.(check (option int)) "update visible" (Some 7) (d.I.read ~tid:0 800)
 
 let test_router_misc () =
-  let d = D.bwtree_forest_int ~config:tiny ~shards:3 () in
+  let d = D.Int.forest ~config:tiny ~shards:3 () in
   Alcotest.(check string) "derived name" "OpenBw-Tree[3 shards]" d.I.name;
   assert (d.I.insert ~tid:0 1 1);
   Alcotest.(check bool) "memory sums over shards" true (d.I.memory_words () > 0);
@@ -147,7 +147,7 @@ let test_router_misc () =
     (fun () ->
       ignore
         (Bw_shard.route_int (P.make_int 2)
-           (Array.init 3 (fun _ -> D.btree_driver_int ()))))
+           (Array.init 3 (fun _ -> D.Int.btree ()))))
 
 (* ------------------------------------------------------------------ *)
 (* Forest == single tree (observational equivalence)                   *)
@@ -189,8 +189,8 @@ let prop_forest_equiv n =
     ~name:(Printf.sprintf "forest of %d shards == single tree" n)
     ~count:60 ops_gen
     (fun ops ->
-      let single = D.bwtree_driver_int ~config:tiny () in
-      let forest = D.bwtree_forest_int ~config:tiny ~lo:0 ~hi:127 ~shards:n () in
+      let single = D.Int.bwtree ~config:tiny () in
+      let forest = D.Int.forest ~config:tiny ~lo:0 ~hi:127 ~shards:n () in
       observe single ops = observe forest ops)
 
 (* The router's batch path: one routing pass splits a batch into
@@ -229,8 +229,8 @@ let prop_forest_batch_equiv n =
     ~count:60
     QCheck.(pair ops_gen (int_range 1 24))
     (fun (ops, bsize) ->
-      let single = D.bwtree_driver_int ~config:tiny () in
-      let forest = D.bwtree_forest_int ~config:tiny ~lo:0 ~hi:127 ~shards:n () in
+      let single = D.Int.bwtree ~config:tiny () in
+      let forest = D.Int.forest ~config:tiny ~lo:0 ~hi:127 ~shards:n () in
       let arr = Array.of_list ops in
       let len = Array.length arr in
       let ok = ref true in
@@ -259,8 +259,8 @@ let test_shard1_parity () =
         List.init 16 (fun i -> (5, i * 11 mod 97, 17 + i));
       ]
   in
-  let single = observe (D.bwtree_driver_int ~config:tiny ()) ops in
-  let routed = observe (D.bwtree_forest_int ~config:tiny ~shards:1 ()) ops in
+  let single = observe (D.Int.bwtree ~config:tiny ()) ops in
+  let routed = observe (D.Int.forest ~config:tiny ~shards:1 ()) ops in
   Alcotest.(check string) "identical observations" single routed
 
 (* ------------------------------------------------------------------ *)
@@ -286,7 +286,7 @@ let test_stress_forest () =
   let p = P.make_int ~lo:0 ~hi:(keyspace - 1) 3 in
   let d =
     Bw_shard.route_int p
-      (Array.init 3 (fun _ -> D.bwtree_driver_int ~config ()))
+      (Array.init 3 (fun _ -> D.Int.bwtree ~config ()))
   in
   let r = Bw_stress.run cfg (Bw_stress.of_driver d) in
   Alcotest.(check (list string)) "no invariant violations" [] r.r_violations;
