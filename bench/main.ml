@@ -118,14 +118,18 @@ let fig8 scale =
 (* §5.3 Figure 9: fast consolidation & search shortcuts                *)
 (* ------------------------------------------------------------------ *)
 
+(* Figures 9, 11 and 18 measure what delta chains and the searches over
+   them cost, so their trees keep the paper's writer-only consolidation:
+   read-side consolidation would pay the chains down mid-measurement. *)
 let fig9 scale =
   print_header
     "Figure 9: Fast Consolidation & Search Shortcuts (single-threaded, \
      off vs on)";
   let base =
-    Bwtree.Config.make ~fast_consolidation:false ~search_shortcuts:false ()
+    Bwtree.Config.make ~fast_consolidation:false ~search_shortcuts:false
+      ~read_consolidation:false ()
   in
-  let opt = Bwtree.default_config in
+  let opt = Bwtree.Config.make ~read_consolidation:false () in
   List.iter
     (fun space ->
       Printf.printf "-- %s keys --\n%!"
@@ -224,7 +228,7 @@ let fig11 scale =
                   Bwtree.Config.make ~leaf_chain_max:chain
                     ~inner_chain_max:(min chain 4) ~leaf_max:ns
                     ~inner_max:(max 16 (ns / 2)) ~leaf_min:(max 2 (ns / 8))
-                    ~inner_min:(max 2 (ns / 8)) ()
+                    ~inner_min:(max 2 (ns / 8)) ~read_consolidation:false ()
                 in
                 let v =
                   mops_of
@@ -533,11 +537,15 @@ let fig18 scale =
       (fun () -> Array.iter (fun op -> Runner.exec_op d ~tid:0 op) ops)
       (Array.length ops)
   in
-  let base = Bwtree.default_config in
+  let base = Bwtree.Config.make ~read_consolidation:false () in
   print_row "OpenBw-Tree"
     [
       ("insert", insert_mops base); ("read", read_mops base ~prep:(fun _ -> ()));
     ];
+  (* lookups pay the chains down as they walk them: between keeping every
+     chain (above) and consolidating all of them up front (-DC) *)
+  print_row "+RC (read-side consolidation)"
+    [ ("read", read_mops Bwtree.default_config ~prep:(fun _ -> ())) ];
   print_row "-DC (no delta chains)"
     [ ("read", read_mops base ~prep:Drivers.Int.Bw.consolidate_all) ];
   let nocas = { base with use_atomic_cas = false } in
@@ -548,7 +556,7 @@ let fig18 scale =
     ];
   (* -MT: frozen direct-pointer tree (no mapping table, no chains) *)
   let mt_read =
-    let tree = Drivers.Int.Bw.create () in
+    let tree = Drivers.Int.Bw.create ~config:base () in
     let d = Drivers.Int.driver_of_tree ~name:"bw" tree in
     let trace = W.load_trace cfg W.Rand_int conv in
     ignore (Runner.load d ~nthreads:1 trace);

@@ -313,12 +313,13 @@ let () =
 
   let sum f = Array.fold_left (fun acc t -> acc + f t) 0 trees in
   Printf.printf
-    "ops: %d inserts | %d splits | %d merges | %d consolidations | %d \
-     failed CaS | %d restarts | %d SMO helps\n"
+    "ops: %d inserts | %d splits | %d merges | %d consolidations (%d by \
+     reads) | %d failed CaS | %d restarts | %d SMO helps\n"
     (sum (fun t -> (Tree.op_stats t).inserts))
     (sum (fun t -> (Tree.op_stats t).splits))
     (sum (fun t -> (Tree.op_stats t).merges))
     (sum (fun t -> (Tree.op_stats t).consolidations))
+    (sum Tree.read_consolidations)
     (sum (fun t -> (Tree.op_stats t).failed_cas))
     (sum (fun t -> (Tree.op_stats t).restarts))
     (sum (fun t -> (Tree.op_stats t).smo_helps));

@@ -182,7 +182,12 @@ let () =
   in
   let subject =
     if Harness.Drivers.is_bwtree !index && !shards = 1 then
-      Bw_stress.bwtree_subject ~config ~obs ~domains:cfg.Bw_stress.domains ()
+      {
+        (Bw_stress.bwtree_subject ~config ~obs ~domains:cfg.Bw_stress.domains
+           ())
+        with
+        s_name = (if !index = "bw" then "Bw-Tree" else "OpenBw-Tree");
+      }
     else
       Bw_stress.of_driver
         (forest (fun () -> Harness.Drivers.Int.index ~config ~obs !index))

@@ -160,8 +160,10 @@ module Make (K : KEY) (V : VALUE) :
   and f_lc_win = 16 (* probes seen in the current observation window *)
   and f_lc_winh = 17 (* hits seen in the current observation window *)
   and f_lc_bypass = 18 (* ops left in the current probe-bypass stretch *)
+  and f_read_consolidations = 19
+  and f_rc_budget = 20 (* leaf deltas walked by lookups, see [read_charge] *)
 
-  let n_stat_fields = 19
+  let n_stat_fields = 21
 
   (* The leaf cache (ROADMAP item 3) is a flat int array of
      [fingerprint; pid; stamp] triples, one per direct-mapped slot:
@@ -617,13 +619,14 @@ module Make (K : KEY) (V : VALUE) :
      deltas are absorbed: the head meta already carries the post-SMO
      lo/hi/right (Table 1), and the replay truncates/concatenates items
      accordingly. Nodes with a remove delta at the head are skipped — they
-     are about to disappear. *)
+     are about to disappear. Returns the base this call installed, [None]
+     when it skipped the node or lost the CaS. *)
   let consolidate t ~tid id (head : elem) =
     let m = meta_of head in
-    if m.depth = 0 then ()
+    if m.depth = 0 then None
     else
       match head with
-      | LD { l_op = L_remove; _ } | ID { i_op = I_remove | I_abort; _ } -> ()
+      | LD { l_op = L_remove; _ } | ID { i_op = I_remove | I_abort; _ } -> None
       | _ ->
           (* A split delta at the head may carry a still-unposted
              separator (Stage III pending — possible when the split was
@@ -677,8 +680,10 @@ module Make (K : KEY) (V : VALUE) :
               Bw_obs.incr t.o ~tid Bw_obs.C_consolidations;
               Bw_obs.event t.o ~tid Bw_obs.Ev_consolidate ~a:id ~b:m.depth
             end;
-            Epoch.retire t.epoch ~tid (Obj.repr head)
+            Epoch.retire t.epoch ~tid (Obj.repr head);
+            Some repl
           end
+          else None
 
   let rec consolidate_subtree t ~tid id =
     let head = mt_get t ~tid id in
@@ -686,7 +691,7 @@ module Make (K : KEY) (V : VALUE) :
       let children = gather_inner ~tid head in
       Growable.iter (fun (_, cid) -> consolidate_subtree t ~tid cid) children
     end;
-    consolidate t ~tid id (mt_get t ~tid id)
+    ignore (consolidate t ~tid id (mt_get t ~tid id))
 
   let consolidate_all t = consolidate_subtree t ~tid:0 (Atomic.get t.root)
 
@@ -716,7 +721,7 @@ module Make (K : KEY) (V : VALUE) :
         let i = Atomic.fetch_and_add pre.used 1 in
         if i >= pre.cap then begin
           sbump t tid f_prealloc_overflows;
-          consolidate t ~tid id head;
+          ignore (consolidate t ~tid id head);
           raise Restart
         end
 
@@ -875,7 +880,8 @@ module Make (K : KEY) (V : VALUE) :
   and post_append_inner t ~tid id (head : elem) parent_path =
     let m = meta_of head in
     if m.size > t.cfg.inner_max then split_node t ~tid id head parent_path
-    else if m.depth >= t.cfg.inner_chain_max then consolidate t ~tid id head
+    else if m.depth >= t.cfg.inner_chain_max then
+      ignore (consolidate t ~tid id head)
 
   (* Split one logical node (leaf or inner). Stage I builds the new right
      sibling and publishes it in the mapping table; Stage II posts the
@@ -1210,7 +1216,7 @@ module Make (K : KEY) (V : VALUE) :
                             else if rest = [] && dm.size = 1 then
                               collapse_root t ~tid pid
                             else if dm.depth >= t.cfg.inner_chain_max then
-                              consolidate t ~tid pid del_d
+                              ignore (consolidate t ~tid pid del_d)
                           end
                         end
                       end
@@ -1485,6 +1491,7 @@ module Make (K : KEY) (V : VALUE) :
     p_found : bool;
     p_values : value list;  (* visible values of the key, newest first *)
     p_offset : int;  (* base position for the new delta, -1 if unknown *)
+    p_hops : int;  (* leaf deltas walked, charged by [read_charge] *)
   }
 
   (* Shared base-node search: clamp the §4.4 shortcut range to the page
@@ -1505,11 +1512,11 @@ module Make (K : KEY) (V : VALUE) :
      value, base search through the packed page. Tracks the §4.4
      shortcut range and the §4.3 offset like the non-unique walker. *)
   let probe_leaf_unique t ~tid (head : elem) k : probe =
-    (* §4.4 search shortcut range over the base node *)
+    (* §4.4 search shortcut range over the base node, narrowed by the
+       comparison the walk just made against each delta's key *)
     let smin = ref 0 and smax = ref max_int in
-    let narrow d k' =
+    let narrow d c =
       if t.cfg.search_shortcuts && d.l_meta.offset >= 0 then begin
-        let c = K.compare k k' in
         if c = 0 then begin
           smin := d.l_meta.offset;
           smax := d.l_meta.offset
@@ -1526,44 +1533,60 @@ module Make (K : KEY) (V : VALUE) :
     (* offset to report when short-circuiting at delta [d]: its recorded
        offset, unless the walk already crossed a merge (poisoned) *)
     let eff_offset d = if !delta_offset = -2 then -1 else d.l_meta.offset in
-    let rec walk e =
+    let rec walk e h =
       match e with
       | LD d -> (
           cnt tid Counters.Pointer_deref;
+          let h = h + 1 in
           match d.l_op with
           | L_ins (k', v) ->
               let c = K.compare k k' in
               cnt tid Counters.Key_compare;
-              narrow d k';
+              narrow d c;
               if c = 0 then
-                { p_found = true; p_values = [ v ]; p_offset = eff_offset d }
-              else walk d.l_next
+                {
+                  p_found = true;
+                  p_values = [ v ];
+                  p_offset = eff_offset d;
+                  p_hops = h;
+                }
+              else walk d.l_next h
           | L_del (k', v) ->
               ignore v;
               let c = K.compare k k' in
               cnt tid Counters.Key_compare;
-              narrow d k';
+              narrow d c;
               if c = 0 then
-                { p_found = false; p_values = []; p_offset = eff_offset d }
-              else walk d.l_next
+                {
+                  p_found = false;
+                  p_values = [];
+                  p_offset = eff_offset d;
+                  p_hops = h;
+                }
+              else walk d.l_next h
           | L_upd (k', _, vnew) ->
               let c = K.compare k k' in
               cnt tid Counters.Key_compare;
-              narrow d k';
+              narrow d c;
               if c = 0 then
-                { p_found = true; p_values = [ vnew ]; p_offset = eff_offset d }
-              else walk d.l_next
+                {
+                  p_found = true;
+                  p_values = [ vnew ];
+                  p_offset = eff_offset d;
+                  p_hops = h;
+                }
+              else walk d.l_next h
           | L_split (ks, _) ->
               (* keys >= ks moved right; the caller's entry check already
                  ensured k < ks, so just continue *)
               ignore ks;
-              walk d.l_next
+              walk d.l_next h
           | L_merge (km, right, _) ->
               cnt tid Counters.Key_compare;
               (* offsets into the left base are meaningless from here on *)
               delta_offset := -2;
-              if K.compare k km >= 0 then walk right else walk d.l_next
-          | L_remove -> walk d.l_next)
+              if K.compare k km >= 0 then walk right h else walk d.l_next h
+          | L_remove -> walk d.l_next h)
       | Leaf b ->
           let pg = b.lb_page in
           let pos = base_search t ~tid pg k ~smin:!smin ~smax:!smax in
@@ -1575,11 +1598,13 @@ module Make (K : KEY) (V : VALUE) :
               p_found = true;
               p_values = [ Array.unsafe_get (P.values pg) pos ];
               p_offset = offset;
+              p_hops = h;
             }
-          else { p_found = false; p_values = []; p_offset = offset }
+          else
+            { p_found = false; p_values = []; p_offset = offset; p_hops = h }
       | Inner _ | ID _ -> assert false
     in
-    walk head
+    walk head 0
 
   (* Non-unique probe: gather the S_present/S_deleted multisets walking
      new-to-old (the §3.1 visibility rule; multiset variant, see
@@ -1601,9 +1626,8 @@ module Make (K : KEY) (V : VALUE) :
       go 0
     in
     let smin = ref 0 and smax = ref max_int in
-    let narrow d k' =
+    let narrow d c =
       if t.cfg.search_shortcuts && d.l_meta.offset >= 0 then begin
-        let c = K.compare k k' in
         if c = 0 then begin
           smin := d.l_meta.offset;
           smax := d.l_meta.offset
@@ -1618,47 +1642,48 @@ module Make (K : KEY) (V : VALUE) :
     let note_offset d =
       if !delta_offset = -1 then delta_offset := d.l_meta.offset
     in
-    let rec walk e =
+    let rec walk e h =
       match e with
       | LD d -> (
           cnt tid Counters.Pointer_deref;
+          let h = h + 1 in
           match d.l_op with
           | L_ins (k', v) ->
               let c = K.compare k k' in
               cnt tid Counters.Key_compare;
-              narrow d k';
+              narrow d c;
               if c = 0 then begin
                 note_offset d;
                 if not (take_pending v) then Growable.push pres v
               end;
-              walk d.l_next
+              walk d.l_next h
           | L_del (k', v) ->
               let c = K.compare k k' in
               cnt tid Counters.Key_compare;
-              narrow d k';
+              narrow d c;
               if c = 0 then begin
                 note_offset d;
                 Growable.push dels v
               end;
-              walk d.l_next
+              walk d.l_next h
           | L_upd (k', vold, vnew) ->
               let c = K.compare k k' in
               cnt tid Counters.Key_compare;
-              narrow d k';
+              narrow d c;
               if c = 0 then begin
                 note_offset d;
                 if not (take_pending vnew) then Growable.push pres vnew;
                 Growable.push dels vold
               end;
-              walk d.l_next
+              walk d.l_next h
           | L_split (ks, _) ->
               ignore ks;
-              walk d.l_next
+              walk d.l_next h
           | L_merge (km, right, _) ->
               cnt tid Counters.Key_compare;
               delta_offset := -2;
-              if K.compare k km >= 0 then walk right else walk d.l_next
-          | L_remove -> walk d.l_next)
+              if K.compare k km >= 0 then walk right h else walk d.l_next h
+          | L_remove -> walk d.l_next h)
       | Leaf b ->
           let pg = b.lb_page in
           let n = P.length pg in
@@ -1680,10 +1705,15 @@ module Make (K : KEY) (V : VALUE) :
           let visible =
             (Growable.to_array pres |> Array.to_list) @ surviving_base
           in
-          { p_found = visible <> []; p_values = visible; p_offset = offset }
+          {
+            p_found = visible <> [];
+            p_values = visible;
+            p_offset = offset;
+            p_hops = h;
+          }
       | Inner _ | ID _ -> assert false
     in
-    walk head
+    walk head 0
 
   let probe_leaf t ~tid (head : elem) k : probe =
     if t.cfg.unique_keys then probe_leaf_unique t ~tid head k
@@ -1734,7 +1764,8 @@ module Make (K : KEY) (V : VALUE) :
     try
       let m = meta_of head in
       if m.size > t.cfg.leaf_max then split_node t ~tid id head parent_path
-      else if m.depth >= t.cfg.leaf_chain_max then consolidate t ~tid id head
+      else if m.depth >= t.cfg.leaf_chain_max then
+        ignore (consolidate t ~tid id head)
       else if check_underflow && m.size < t.cfg.leaf_min then
         merge_node t ~tid id head parent_path
     with Restart -> cnt tid Counters.Restart
@@ -1912,14 +1943,44 @@ module Make (K : KEY) (V : VALUE) :
   (* Reads                                                             *)
   (* ---------------------------------------------------------------- *)
 
+  (* Read-side consolidation (DESIGN.md), a ski-rental rule: every
+     lookup charges the leaf deltas it walked to its thread's budget,
+     and the one that brings the budget to [leaf_max] — about the item
+     count one consolidation copies — resets it and consolidates the
+     leaf it just probed. Returns the base that call installed. The
+     read is already answered, so interference is swallowed exactly as
+     in [post_append_leaf]. *)
+  let read_charge t ~tid id (head : elem) hops =
+    if (not t.cfg.read_consolidation) || hops = 0 then None
+    else
+      let row = t.st.(tid) in
+      let budget = row.(f_rc_budget) + hops in
+      if budget < t.cfg.leaf_max then begin
+        row.(f_rc_budget) <- budget;
+        None
+      end
+      else begin
+        row.(f_rc_budget) <- 0;
+        match consolidate t ~tid id head with
+        | Some _ as base ->
+            sbump t tid f_read_consolidations;
+            base
+        | None -> None
+        | exception Restart ->
+            cnt tid Counters.Restart;
+            None
+      end
+
   let lookup_body t ~tid k =
     with_epoch t ~tid @@ fun () ->
     let first = ref true in
     retry_loop t ~tid @@ fun () ->
-    let _, _, head = locate_attempt t ~tid first k in
+    let _, id, head = locate_attempt t ~tid first k in
     if Bw_obs.enabled t.o then
       Bw_obs.observe t.o ~tid Bw_obs.Val_chain_depth (meta_of head).depth;
-    (probe_leaf t ~tid head k).p_values
+    let p = probe_leaf t ~tid head k in
+    ignore (read_charge t ~tid id head p.p_hops);
+    p.p_values
 
   (* Public write/read entry points: the null-sink path must not even
      allocate the thunk [timed] would take, so the branch happens here
@@ -2044,14 +2105,24 @@ module Make (K : KEY) (V : VALUE) :
         try
           match op with
           | B_get -> (
-              let _, _, head = leaf_for k in
+              let path, id, head = leaf_for k in
               match !last_get with
               | Some (lk, lh, r) when lh == head && K.compare lk k = 0 -> r
               | _ ->
                   if Bw_obs.enabled t.o then
                     Bw_obs.observe t.o ~tid Bw_obs.Val_chain_depth
                       (meta_of head).depth;
-                  let r = R_values (probe_leaf t ~tid head k).p_values in
+                  let p = probe_leaf t ~tid head k in
+                  let r = R_values p.p_values in
+                  (* a read-side consolidation swings the head: follow
+                     it, or the batch's next write CaSes a stale head *)
+                  let head =
+                    match read_charge t ~tid id head p.p_hops with
+                    | Some base ->
+                        ctx := Some (path, id, base);
+                        base
+                    | None -> head
+                  in
                   last_get := Some (k, head, r);
                   r)
           | B_insert v ->
@@ -2466,6 +2537,8 @@ module Make (K : KEY) (V : VALUE) :
       smo_helps = ssum t f_smo_helps;
       prealloc_overflows = ssum t f_prealloc_overflows;
     }
+
+  let read_consolidations t = ssum t f_read_consolidations
 
   let prealloc_util = function
     | None -> None

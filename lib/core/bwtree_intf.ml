@@ -67,6 +67,12 @@ type config = {
           hit, so a stale entry costs a retry, never a wrong result. *)
   leaf_cache_bits : int;
       (** log2 of the leaf-cache slot count (13 = 8192 slots) *)
+  read_consolidation : bool;
+      (** lookups consolidate the leaf chains they walk: each lookup
+          charges the leaf deltas it walked to a per-thread budget, and
+          the lookup that brings it to [leaf_max] consolidates the leaf
+          it just probed (DESIGN.md "Read-side consolidation"). [false]
+          leaves consolidation to writers alone, as in the paper *)
 }
 
 let default_config =
@@ -89,11 +95,13 @@ let default_config =
     max_threads = 64;
     leaf_cache = true;
     leaf_cache_bits = 13;
+    read_consolidation = true;
   }
 
 (** A good-faith reading of Microsoft's original design [29]: heap-allocated
     delta records, sort-based consolidation, no search shortcuts,
-    centralized epoch GC, chain threshold 8 everywhere. *)
+    centralized epoch GC, chain threshold 8 everywhere, and only writers
+    consolidate. *)
 let microsoft_config =
   {
     default_config with
@@ -105,6 +113,7 @@ let microsoft_config =
     packed_leaves = false;
     gc_scheme = Epoch.Centralized;
     leaf_cache = false;
+    read_consolidation = false;
   }
 
 (** Validating configuration builder. [S.create] re-validates whatever it
@@ -138,7 +147,7 @@ module Config = struct
       ?inner_chain_max ?leaf_min ?inner_min ?unique_keys ?preallocate
       ?fast_consolidation ?search_shortcuts ?use_atomic_cas
       ?inplace_leaf_update ?packed_leaves ?gc_scheme ?gc_threshold
-      ?max_threads ?leaf_cache ?leaf_cache_bits () =
+      ?max_threads ?leaf_cache ?leaf_cache_bits ?read_consolidation () =
     let field v = function Some x -> x | None -> v in
     let c =
       {
@@ -160,6 +169,7 @@ module Config = struct
         max_threads = field base.max_threads max_threads;
         leaf_cache = field base.leaf_cache leaf_cache;
         leaf_cache_bits = field base.leaf_cache_bits leaf_cache_bits;
+        read_consolidation = field base.read_consolidation read_consolidation;
       }
     in
     validate c;
@@ -396,6 +406,12 @@ module type S = sig
   (** {1 Introspection} *)
 
   val op_stats : t -> op_stats
+
+  val read_consolidations : t -> int
+  (** Consolidations installed by lookups under
+      [config.read_consolidation] — a subset of [op_stats]'s
+      [consolidations]. *)
+
   val structure_stats : t -> structure_stats
 
   (** [iter_nodes t f] visits every logical node with its Delta-Chain

@@ -172,6 +172,190 @@ let prop_consolidation_equivalence =
       let slow = mk { tiny with fast_consolidation = false } in
       fast = slow)
 
+(* --- read-side consolidation --- *)
+
+(* 20k Rand-Int keys loaded through inserts only: the writers leave
+   every leaf with the chain its last inserts appended, and no lookup
+   has run yet *)
+let rc_keys = 20_000
+let rc_key = Workload.Keys.rand_int
+
+let rc_loaded config =
+  let t = T.create ~config () in
+  for i = 0 to rc_keys - 1 do
+    assert (T.insert t (rc_key i) i)
+  done;
+  t
+
+(* every key read 4 times on tid 0; [true] when every read saw its value *)
+let rc_read_all t =
+  let ok = ref true in
+  for _ = 1 to 4 do
+    for i = 0 to rc_keys - 1 do
+      if T.lookup t (rc_key i) <> [ i ] then ok := false
+    done
+  done;
+  !ok
+
+let leaf_chain t = (T.structure_stats t).avg_leaf_chain
+
+let test_reads_pay_down_chains () =
+  let t = rc_loaded Bwtree.default_config in
+  Alcotest.(check bool) "loading leaves chains" true (leaf_chain t > 1.);
+  let c0 = (T.op_stats t).consolidations in
+  Alcotest.(check bool) "every read saw its value" true (rc_read_all t);
+  Alcotest.(check bool) "reads consolidated the chains" true
+    (leaf_chain t < 1.);
+  let rc = T.read_consolidations t in
+  Alcotest.(check bool) "read consolidations counted" true (rc > 0);
+  Alcotest.(check bool) "a subset of all consolidations" true
+    ((T.op_stats t).consolidations - c0 >= rc);
+  T.verify_invariants t;
+  Alcotest.(check int) "cardinal" rc_keys (T.cardinal t)
+
+(* with the switch off (and in the baseline Bw-Tree, which has it off)
+   reads leave the structure exactly as loading left it *)
+let test_reads_leave_chains_when_off () =
+  List.iter
+    (fun (name, config) ->
+      let t = rc_loaded config in
+      let chain0 = leaf_chain t and c0 = (T.op_stats t).consolidations in
+      Alcotest.(check bool) (name ^ ": loading leaves chains") true
+        (chain0 > 1.);
+      Alcotest.(check bool) (name ^ ": every read saw its value") true
+        (rc_read_all t);
+      Alcotest.(check (float 0.)) (name ^ ": chains unchanged") chain0
+        (leaf_chain t);
+      Alcotest.(check int) (name ^ ": no consolidations") c0
+        (T.op_stats t).consolidations;
+      Alcotest.(check int) (name ^ ": no read consolidations") 0
+        (T.read_consolidations t))
+    [
+      ("switch off", Bwtree.Config.make ~read_consolidation:false ());
+      ("microsoft", Bwtree.microsoft_config);
+    ]
+
+(* a batch read that consolidates moves the batch onto the new base, so
+   the write that follows it on the same leaf CaSes the live head. Each
+   key is read, then updated, in one sorted run: had the batch kept the
+   old head, every read consolidation would cost the next update a
+   failed CaS and a restart. Writers' own consolidations and splits
+   still leave the batch a stale head now and then, so the bar is the
+   restart count with the switch off. *)
+let test_batch_follows_read_consolidation () =
+  let run config =
+    let t = rc_loaded config in
+    let r0 = (T.op_stats t).restarts in
+    let n = 2 * rc_keys and width = 256 in
+    for b = 0 to (n - 1) / width do
+      let lo = b * width in
+      let ops =
+        Array.init (min width (n - lo)) (fun j ->
+            let i = (lo + j) / 2 in
+            if (lo + j) mod 2 = 0 then (rc_key i, T.B_get)
+            else (rc_key i, T.B_update (i + 1)))
+      in
+      Array.iteri
+        (fun j r ->
+          let i = (lo + j) / 2 in
+          let expect =
+            if (lo + j) mod 2 = 0 then T.R_values [ i ] else T.R_applied true
+          in
+          if r <> expect then
+            Alcotest.failf "batch op %d: wrong result" (lo + j))
+        (T.execute_batch t ops)
+    done;
+    for i = 0 to rc_keys - 1 do
+      if T.lookup t (rc_key i) <> [ i + 1 ] then
+        Alcotest.failf "key %d lost its update" i
+    done;
+    T.verify_invariants t;
+    ((T.op_stats t).restarts - r0, T.read_consolidations t)
+  in
+  let restarts_on, rc = run Bwtree.default_config in
+  let restarts_off, _ = run (Bwtree.Config.make ~read_consolidation:false ()) in
+  Alcotest.(check bool) "batch reads consolidated" true (rc > 0);
+  if restarts_on > restarts_off then
+    Alcotest.failf "read consolidation cost the batch restarts: %d on, %d off"
+      restarts_on restarts_off
+
+(* the switch changes where chains are paid down, never an answer:
+   the same random op sequence gives the same per-op results with it on
+   and off, point by point and through batches, unique and non-unique
+   (non-unique sticks to the exact-pair ops: its update picks a physical
+   duplicate, which consolidation reorders) *)
+let prop_read_consolidation_transparent =
+  let gen =
+    QCheck.(
+      triple bool
+        (list_of_size (Gen.int_range 1 400)
+           (triple (int_bound 7) (int_bound 60) (int_bound 5)))
+        (int_range 1 17))
+  in
+  QCheck.Test.make ~name:"read consolidation on == off" ~count:80 gen
+    (fun (unique, ops, bsize) ->
+      let ops =
+        if unique then ops
+        else
+          List.map
+            (fun (op, k, v) -> ((if op = 2 || op = 3 then 4 else op), k, v))
+            ops
+      in
+      let mk rc =
+        T.create
+          ~config:{ tiny with unique_keys = unique; read_consolidation = rc }
+          ()
+      in
+      let norm = function
+        | T.R_values vs -> T.R_values (List.sort compare vs)
+        | r -> r
+      in
+      let point t (op, k, v) =
+        match op with
+        | 0 -> T.R_applied (T.insert t k v)
+        | 1 -> T.R_applied (T.delete t k v)
+        | 2 -> T.R_applied (T.update t k v)
+        | 3 -> T.R_applied (T.update t k v || T.insert t k v)
+        | _ -> T.R_values (T.lookup t k)
+      in
+      let batch t chunk =
+        T.execute_batch t
+          (Array.of_list
+             (List.map
+                (fun (op, k, v) ->
+                  ( k,
+                    match op with
+                    | 0 -> T.B_insert v
+                    | 1 -> T.B_delete v
+                    | 2 -> T.B_update v
+                    | 3 -> T.B_upsert v
+                    | _ -> T.B_get ))
+                chunk))
+        |> Array.to_list
+      in
+      let on = mk true and off = mk false in
+      let per_op =
+        List.for_all (fun o -> norm (point on o) = norm (point off o)) ops
+      in
+      let bon = mk true and boff = mk false in
+      let rec chunks = function
+        | [] -> []
+        | l ->
+            List.filteri (fun i _ -> i < bsize) l
+            :: chunks (List.filteri (fun i _ -> i >= bsize) l)
+      in
+      let batched =
+        List.for_all
+          (fun c -> List.map norm (batch bon c) = List.map norm (batch boff c))
+          (chunks ops)
+      in
+      List.iter T.verify_invariants [ on; off; bon; boff ];
+      let contents t = List.sort compare (T.scan_all t ()) in
+      per_op && batched
+      && contents on = contents off
+      && contents bon = contents boff
+      && contents on = contents bon)
+
 (* --- non-unique keys (§3.1) --- *)
 
 let nuniq = Bwtree.Config.make ~unique_keys:false ()
@@ -602,6 +786,16 @@ let () =
           Alcotest.test_case "reverse insert" `Quick test_reverse_insert;
         ] );
       ("consolidation", [ q prop_consolidation_equivalence ]);
+      ( "read-consolidation",
+        [
+          Alcotest.test_case "reads pay down chains" `Quick
+            test_reads_pay_down_chains;
+          Alcotest.test_case "switch off leaves chains" `Quick
+            test_reads_leave_chains_when_off;
+          Alcotest.test_case "batch follows the new base" `Quick
+            test_batch_follows_read_consolidation;
+          q prop_read_consolidation_transparent;
+        ] );
       ( "non-unique",
         [
           Alcotest.test_case "basic" `Quick test_non_unique_basic;

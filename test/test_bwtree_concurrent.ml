@@ -143,6 +143,102 @@ let test_readers_never_block () =
   Alcotest.(check bool) "every read observed exactly one value" true !ok;
   T.verify_invariants t
 
+let test_read_consolidation_provenance () =
+  (* 2 reader domains and 1 updater over 512 keys, small leaves, reads
+     consolidating as they go (point lookups and batches). Every value
+     written for key k is k * scale + seq, with seq rising per key and
+     published before the write, so each read proves its provenance:
+     the right key, a seq the updater had reached, and never older than
+     what the same reader saw before. *)
+  let nkeys = 512 and scale = 1_000_000 in
+  let config =
+    Bwtree.Config.make ~leaf_max:16 ~inner_max:8 ~leaf_min:2 ~inner_min:2 ()
+  in
+  let t = T.create ~config () in
+  for k = 0 to nkeys - 1 do
+    assert (T.insert t k (k * scale))
+  done;
+  let published = Array.init nkeys (fun _ -> Atomic.make 0) in
+  let stop = Atomic.make false in
+  let bad = Atomic.make 0 in
+  let updater =
+    Domain.spawn (fun () ->
+        let rng = Bw_util.Rng.create ~seed:99L in
+        let next k =
+          let s = Atomic.get published.(k) + 1 in
+          Atomic.set published.(k) s;
+          (k * scale) + s
+        in
+        let i = ref 0 in
+        while not (Atomic.get stop) do
+          incr i;
+          let k = Bw_util.Rng.next_int rng nkeys in
+          if !i mod 4 <> 0 then begin
+            if not (T.update t ~tid:0 k (next k)) then Atomic.incr bad
+          end
+          else begin
+            (* read-then-update runs through one batch: the sole writer
+               must read exactly what it last wrote *)
+            let ks = Array.init 8 (fun j -> (k + j) mod nkeys) in
+            let expect =
+              Array.map (fun k -> (k * scale) + Atomic.get published.(k)) ks
+            in
+            let ops =
+              Array.init 16 (fun j ->
+                  let k = ks.(j / 2) in
+                  if j mod 2 = 0 then (k, T.B_get) else (k, T.B_update (next k)))
+            in
+            Array.iteri
+              (fun j r ->
+                let ok =
+                  match r with
+                  | T.R_values [ v ] -> j mod 2 = 0 && v = expect.(j / 2)
+                  | T.R_applied true -> j mod 2 = 1
+                  | _ -> false
+                in
+                if not ok then Atomic.incr bad)
+              (T.execute_batch t ~tid:0 ops)
+          end
+        done;
+        T.quiesce t ~tid:0)
+  in
+  spawn_workers 2 (fun w ->
+      let tid = w + 1 in
+      let rng = Bw_util.Rng.create ~seed:(Int64.of_int (700 + tid)) in
+      let last = Array.make nkeys 0 in
+      let check k v =
+        let s = v - (k * scale) in
+        if s < last.(k) || s > Atomic.get published.(k) then Atomic.incr bad
+        else last.(k) <- s
+      in
+      for i = 1 to 40_000 do
+        let k = Bw_util.Rng.next_int rng nkeys in
+        if i mod 4 <> 0 then
+          match T.lookup t ~tid k with
+          | [ v ] -> check k v
+          | _ -> Atomic.incr bad
+        else
+          let ks = Array.init 16 (fun j -> (k + j) mod nkeys) in
+          Array.iteri
+            (fun j r ->
+              match r with
+              | T.R_values [ v ] -> check ks.(j) v
+              | _ -> Atomic.incr bad)
+            (T.execute_batch t ~tid (Array.map (fun k -> (k, T.B_get)) ks))
+      done;
+      T.quiesce t ~tid);
+  Atomic.set stop true;
+  Domain.join updater;
+  Alcotest.(check int) "every read proved its provenance" 0 (Atomic.get bad);
+  Alcotest.(check bool) "reads consolidated" true (T.read_consolidations t > 0);
+  T.verify_invariants t;
+  for k = 0 to nkeys - 1 do
+    Alcotest.(check (list int))
+      "final value"
+      [ (k * scale) + Atomic.get published.(k) ]
+      (T.lookup t k)
+  done
+
 let test_concurrent_iteration () =
   (* scans run while writers insert; scans must return ascending keys *)
   let t = T.create ~config:tiny () in
@@ -217,6 +313,8 @@ let () =
         [
           Alcotest.test_case "readers never block" `Slow
             test_readers_never_block;
+          Alcotest.test_case "read consolidation provenance" `Slow
+            test_read_consolidation_provenance;
           Alcotest.test_case "concurrent iteration" `Slow
             test_concurrent_iteration;
         ] );
